@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import (
@@ -165,6 +164,9 @@ def _lindblad_apply(
     if method == "expm":
         return expm_multiply(lv * t, block)
     if method == "rk45":
+        # imported here: scipy.integrate adds ~0.2 s to every import of kerrsense
+        from scipy.integrate import solve_ivp
+
         shape = block.shape
         flat = block.reshape(block.shape[0], -1)
         cols = []

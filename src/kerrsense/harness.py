@@ -304,11 +304,34 @@ def _group_dim(
     kt_values,
     sigma2: float,
     **flags,
-) -> int:
-    """Converged dimension for a dissipative group, probed at the largest Kt."""
+) -> tuple[int, SweepRow]:
+    """Converged dimension for a dissipative group, probed at the largest Kt.
+
+    Returns the dimension and the probe row, which is the group's row at
+    (max Kt, sigma2) for the same flags.
+    """
     kt_ref = max(kt_values)
     row = evaluate_point(delta, epsilon, kerr, gamma, kt_ref, sigma2, dim=None, **flags)
-    return int(row.dim)
+    return int(row.dim), row
+
+
+def _group_point(
+    delta: float,
+    epsilon: float,
+    kerr: float,
+    gamma: float,
+    dim: int | None,
+    probe: SweepRow | None,
+    **flags,
+):
+    """evaluate_point(kt, sigma2) for one group, reusing the group's probe row."""
+
+    def point(kt: float, sigma2: float) -> SweepRow:
+        if probe is not None and (kt, sigma2) == (probe.kt, probe.sigma2):
+            return probe
+        return evaluate_point(delta, epsilon, kerr, gamma, kt, sigma2, dim=dim, **flags)
+
+    return point
 
 
 def _map(fn, items, threads: int) -> list:
@@ -488,21 +511,13 @@ def run_fig3(
     rows: list[SweepRow] = []
     snapshot_dim = dim
     for gamma in cfg.gamma:
-        if gamma == 0.0 or dim is not None:
-            group_dim = dim
-        else:
-            group_dim = _group_dim(delta, epsilon, kerr, gamma, cfg.kt, sigma2, **flags)
+        group_dim, probe = dim, None
+        if gamma != 0.0 and dim is None:
+            group_dim, probe = _group_dim(delta, epsilon, kerr, gamma, cfg.kt, sigma2, **flags)
             if gamma == SNAPSHOT_GAMMA * kerr:
                 snapshot_dim = group_dim
-        rows.extend(
-            _map(
-                lambda kt: evaluate_point(
-                    delta, epsilon, kerr, gamma, kt, sigma2, dim=group_dim, **flags
-                ),
-                cfg.kt,
-                threads,
-            )
-        )
+        point = _group_point(delta, epsilon, kerr, gamma, group_dim, probe, **flags)
+        rows.extend(_map(lambda kt: point(kt, sigma2), cfg.kt, threads))
     _check_lossless_ordering(rows)
     snaps = (
         _fig3_snapshots(delta, epsilon, kerr, snapshot_dim, snapshot_grid)
@@ -641,16 +656,11 @@ def run_loss_robustness(
     kt_grid = np.array(cfg.kt)
     rows: list[SweepRow] = []
     for gamma in cfg.gamma:
-        group_dim = dim
+        group_dim, probe = dim, None
         if group_dim is None:
-            group_dim = _group_dim(delta, epsilon, kerr, gamma, cfg.kt, sigma2)
-        grid_rows = _map(
-            lambda kt: evaluate_point(
-                delta, epsilon, kerr, gamma, kt, sigma2, dim=group_dim
-            ),
-            cfg.kt,
-            threads,
-        )
+            group_dim, probe = _group_dim(delta, epsilon, kerr, gamma, cfg.kt, sigma2)
+        point = _group_point(delta, epsilon, kerr, gamma, group_dim, probe)
+        grid_rows = _map(lambda kt: point(kt, sigma2), cfg.kt, threads)
 
         def refined_max(getter, **flags) -> tuple[float, float, SweepRow]:
             values = np.array(
@@ -713,22 +723,16 @@ def run_custom(
         for epsilon in cfg.epsilon:
             for kerr in cfg.kerr:
                 for gamma in cfg.gamma:
-                    group_dim = dim
+                    group_dim, probe = dim, None
                     if group_dim is None and gamma > 0.0:
-                        group_dim = _group_dim(
+                        group_dim, probe = _group_dim(
                             delta, epsilon, kerr, gamma, cfg.kt, cfg.sigma2[0], **flags
                         )
-                    points = [(kt, s2) for kt in cfg.kt for s2 in cfg.sigma2]
-                    rows.extend(
-                        _map(
-                            lambda ps: evaluate_point(
-                                delta, epsilon, kerr, gamma, ps[0], ps[1],
-                                dim=group_dim, **flags,
-                            ),
-                            points,
-                            threads,
-                        )
+                    point = _group_point(
+                        delta, epsilon, kerr, gamma, group_dim, probe, **flags
                     )
+                    points = [(kt, s2) for kt in cfg.kt for s2 in cfg.sigma2]
+                    rows.extend(_map(lambda ps: point(*ps), points, threads))
     return SweepResult(experiment="custom", rows=rows)
 
 

@@ -216,40 +216,42 @@ class MomentBasis:
         return len(self.operators)
 
 
+# basis length per order: the order-k basis is the first entries of order 3
+_BASIS_LENGTH = {1: 2, 2: 5, 3: 9}
+
+
 @lru_cache(maxsize=8)
-def _moment_matrices(dim: int, order: int) -> tuple[np.ndarray, ...]:
+def _moment_matrices(dim: int) -> tuple[Operator, ...]:
+    """The order-3 basis at dim, wrapped once; lower orders are its prefixes."""
     x = position(dim).matrix
     p = momentum(dim).matrix
-    mats = [x, p]
-    if order >= 2:
-        mats += [x @ x, p @ p, (x @ p + p @ x) / 2.0]
-    if order >= 3:
-        xpp = x @ p @ p
-        pxp = p @ x @ p
-        ppx = p @ p @ x
-        pxx = p @ x @ x
-        xpx = x @ p @ x
-        xxp = x @ x @ p
-        mats += [
-            x @ x @ x,
-            p @ p @ p,
-            (xpp + pxp + ppx) / 3.0,
-            (pxx + xpx + xxp) / 3.0,
-        ]
-    out = []
-    for m in mats:
-        m = (m + m.conj().T) / 2.0  # products of Hermitians symmetrised exactly
-        m.setflags(write=False)
-        out.append(m)
-    return tuple(out)
+    xpp = x @ p @ p
+    pxp = p @ x @ p
+    ppx = p @ p @ x
+    pxx = p @ x @ x
+    xpx = x @ p @ x
+    xxp = x @ x @ p
+    mats = [
+        x,
+        p,
+        x @ x,
+        p @ p,
+        (x @ p + p @ x) / 2.0,
+        x @ x @ x,
+        p @ p @ p,
+        (xpp + pxp + ppx) / 3.0,
+        (pxx + xpx + xxp) / 3.0,
+    ]
+    # products of Hermitians symmetrised exactly
+    return tuple(Operator((m + m.conj().T) / 2.0, hermitian=True) for m in mats)
 
 
 def moment_basis(dim: int, order: int) -> MomentBasis:
     """Basis (X, P | X^2, P^2, sym XP | X^3, P^3, sym XPP, sym PXX) of length 2/5/9."""
-    if order not in (1, 2, 3):
+    if order not in _BASIS_LENGTH:
         raise ValueError(f"moment basis order must be 1, 2, or 3, got {order!r}")
-    mats = _moment_matrices(check_dim(dim), order)
-    return MomentBasis(order=order, operators=tuple(Operator(m, hermitian=True) for m in mats))
+    ops = _moment_matrices(check_dim(dim))
+    return MomentBasis(order=order, operators=ops[: _BASIS_LENGTH[order]])
 
 
 def _basis_products(state: QuantumState, mats: list[np.ndarray]):

@@ -1,25 +1,28 @@
 """Wigner function on a rectangular phase-space grid.
 
-The Wigner function is evaluated through displaced parity,
+W is normalized so that the Riemann sum over dx dp is 1, the vacuum peaks at
+1/pi, and pi * W(0, 0) equals the parity expectation <Pi>.  With
+alpha = (x + i p)/sqrt(2), r = 4|alpha|^2 and theta = arg(alpha) it is the
+Laguerre series of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
 
-    W(x, p) = (1/pi) * Tr[ D(alpha)^dag rho D(alpha) Pi ],   alpha = (x + i p)/sqrt(2),
+    W = (1/pi) [ sum_n (-1)^n rho_nn f^0_n(r)
+                 + 2 Re sum_{k>=1} e^{ik theta} sum_n (-1)^n rho_{n,n+k} f^k_n(r) ],
 
-normalized so that the Riemann sum over dx dp is 1, the vacuum peaks at
-1/pi, and pi * W(0, 0) equals the parity expectation <Pi>.
+    f^k_n(r) = sqrt(n!/(n+k)!) r^{k/2} e^{-r/2} L^k_n(r),
 
-Displacements are applied exactly in the truncated space through the polar
-factorization D(alpha) = R exp(-i sqrt(2) |alpha| P) R^dag with
-R = exp(i arg(alpha) n): one eigendecomposition of the momentum quadrature
-serves every grid point, and whole grid chunks reduce to two matrix-matrix
-products.  Mixed states are expanded over their significant eigenvectors.
+which is exact for the state as given: no padding of the truncated space
+(the same series as QuTiP's wigner(method="clenshaw")).  The normalized
+Laguerre functions depend only on |alpha|, so they are run once per distinct
+radius of the grid, by the recurrence over n for all k at once; the k series
+is then summed by Horner's rule in e^{i theta} over the grid.  Pure and mixed
+states share the one path.  Top Fock levels that cannot move W by more than
+TRIM_TOL are dropped first.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,27 +41,18 @@ __all__ = [
 # Boundary |W| above this suggests the grid clips the state's support.
 BOUNDARY_TOL = 1e-4
 
-# Mixed-state eigenvalues below this total weight are dropped; each
-# eigenvector contributes at most weight/pi to W pointwise.
-EIGENVALUE_CUTOFF = 1e-12
-
-_CHUNK = 2048
-
-
-def _support_level(populations: np.ndarray, cutoff: float) -> int:
-    # highest Fock level still holding more than `cutoff` of the population
-    tail = np.cumsum(populations[::-1])[::-1]
-    above = np.nonzero(tail > cutoff)[0]
-    return int(above[-1]) if above.size else 0
+# Fock levels are dropped from the top while the bound on the change this
+# makes to W, (2/pi) (sum_n sqrt(p_n)) (sum_{m >= L} sqrt(p_m)), is at most
+# this; it holds because |f^k_n| <= 1 and |rho_mn| <= sqrt(p_m p_n).
+TRIM_TOL = 1e-14
 
 
-def _working_dim(dim: int, alpha_max: float, support: int) -> int:
-    # Displacing a state whose support ends near level n_s by alpha moves its
-    # radius to sqrt(n_s) + |alpha| in phase space; (that + 4)^2 Fock levels
-    # keep the displaced parity unbiased.  States are zero-padded up to this,
-    # which leaves them unchanged.
-    need = int(math.ceil((math.sqrt(support + 1.0) + alpha_max + 4.0) ** 2))
-    return max(dim, 16 * math.ceil(need / 16))
+def _trimmed_dim(populations: np.ndarray, tol: float = TRIM_TOL) -> int:
+    """Smallest L whose dropped levels L, L+1, ... move W by at most tol."""
+    amp = np.sqrt(np.clip(populations, 0.0, None))
+    tail = np.cumsum(amp[::-1])[::-1]  # tail[L] = sum_{m >= L} sqrt(p_m)
+    kept = np.nonzero((2.0 / np.pi) * tail[0] * tail > tol)[0]
+    return int(kept[-1]) + 1 if kept.size else 1
 
 
 class GridCoverageWarning(UserWarning):
@@ -101,70 +95,54 @@ class PhaseGrid:
 DEFAULT_GRID = PhaseGrid()
 
 
-@lru_cache(maxsize=8)
-def _displacement_basis(dim: int):
-    """Eigenbasis of P plus the parity operator expressed in it."""
-    lam, vp = np.linalg.eigh(fock.momentum(dim).matrix)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    t = (vp.conj().T * signs) @ vp
-    for arr in (lam, vp, t):
-        arr.setflags(write=False)
-    return lam, vp, t
+def _diagonal_sums(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """s[k] = sum_n (-1)^n rho_{n,n+k} f^k_n(r) at each radius in r.
+
+    Diagonals k above the last one holding a nonzero element are left out.
+    """
+    dim = rho.shape[0]
+    rows, cols = np.nonzero(np.triu(rho))
+    bands = int((cols - rows).max()) + 1 if rows.size else 1
+    k = np.arange(bands)[:, None]
+    # f^k_0 = r^{k/2} e^{-r/2} / sqrt(k!), in log space: r^{k/2} overflows.
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, bands)))))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = np.where(k > 0, 0.5 * k * np.log(r), 0.0) - 0.5 * r - 0.5 * log_fact
+    f = np.exp(log_f)
+    f_prev = np.zeros_like(f)
+    s = np.zeros((bands, r.size), dtype=complex)
+    for n in range(dim):
+        m = min(bands, dim - n)  # diagonals k that row n reaches
+        f, f_prev, kk = f[:m], f_prev[:m], k[:m]
+        s[:m] += ((-1.0) ** n * rho[n, n : n + m])[:, None] * f
+        f, f_prev = (
+            ((2 * n + 1) + kk - r) * f - np.sqrt(n * (n + kk)) * f_prev
+        ) / np.sqrt((n + 1) * (n + 1 + kk)), f
+    return s
 
 
-def _wigner_components(
-    vectors: np.ndarray,
-    weights: np.ndarray,
-    dim: int,
-    abs_alpha: np.ndarray,
-    phase_alpha: np.ndarray,
-) -> np.ndarray:
-    """Weighted sum of <v_j| D Pi D^dag |v_j> over flattened grid points."""
-    lam, vp, t = _displacement_basis(dim)
-    vph = vp.conj().T
-    n_vec = np.arange(dim)
-    out = np.zeros(abs_alpha.size)
-    for start in range(0, abs_alpha.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, abs_alpha.size))
-        # R^dag per point, shared across eigenvectors of rho.
-        rot = np.exp(-1j * np.outer(n_vec, phase_alpha[sl]))
-        kick = np.exp(1j * np.sqrt(2.0) * np.outer(lam, abs_alpha[sl]))
-        acc = np.zeros(rot.shape[1])
-        for w, vec in zip(weights, vectors):
-            c = vph @ (vec[:, None] * rot)
-            c *= kick
-            acc += w * np.einsum("ij,ij->j", c.conj(), t @ c).real
-        out[sl] = acc
-    return out
+def _laguerre_series(rho: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """W on the grid from the density matrix rho, without any trimming."""
+    x = grid.x_values[:, None]
+    p = grid.p_values[None, :]
+    radius2, where = np.unique((x * x + p * p).ravel(), return_inverse=True)
+    s = _diagonal_sums(rho, 2.0 * radius2)
+    z = np.exp(1j * np.arctan2(p, x)).ravel()
+    acc = np.zeros(z.size, dtype=complex)
+    for k in range(s.shape[0] - 1, 0, -1):
+        acc = (acc + s[k, where]) * z
+    return ((s[0, where].real + 2.0 * acc.real) / np.pi).reshape(grid.nx, grid.np)
 
 
 def wigner(state: QuantumState, grid: PhaseGrid = DEFAULT_GRID) -> np.ndarray:
     """Wigner function as an (nx, np) array with W[i, j] = W(x_i, p_j).
 
-    Warns with GridCoverageWarning when |W| on the boundary exceeds
-    BOUNDARY_TOL, since a clipped grid breaks normalization checks.
+    The top Fock levels are dropped as far as that provably moves W by at
+    most TRIM_TOL.  Warns with GridCoverageWarning when |W| on the boundary
+    exceeds BOUNDARY_TOL, since a clipped grid breaks normalization checks.
     """
-    x = grid.x_values
-    p = grid.p_values
-    alpha = (x[:, None] + 1j * p[None, :]) / np.sqrt(2.0)
-    abs_alpha = np.abs(alpha).ravel()
-    phase_alpha = np.angle(alpha).ravel()
-    support = _support_level(state.populations(), EIGENVALUE_CUTOFF)
-    dim = _working_dim(state.dim, float(abs_alpha.max()), support)
-
-    if state.kind == "pure":
-        vectors = state.ket[None, :]
-        weights = np.ones(1)
-    else:
-        evals, evecs = np.linalg.eigh(state.density_matrix())
-        keep = evals > EIGENVALUE_CUTOFF
-        vectors = evecs.T[keep]
-        weights = evals[keep]
-    if dim > state.dim:
-        vectors = np.pad(vectors, ((0, 0), (0, dim - state.dim)))
-
-    values = _wigner_components(vectors, weights, dim, abs_alpha, phase_alpha) / np.pi
-    w = values.reshape(grid.nx, grid.np)
+    dim = _trimmed_dim(state.populations())
+    w = _laguerre_series(state.density_matrix()[:dim, :dim], grid)
 
     edge = max(
         np.abs(w[0, :]).max(),

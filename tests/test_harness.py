@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kerrsense import harness
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
 from kerrsense.dynamics import HamiltonianParams, evolve_unitary
@@ -318,6 +319,47 @@ def test_run_custom_axis_order_and_noise():
     assert clean.chi2inv_2 is not None  # custom sweeps include k = 2
     assert noisy.chi2inv_1 < clean.chi2inv_1
     assert noisy.chi2inv_mai < clean.chi2inv_mai
+
+
+GROUP_RUNNERS = {
+    "custom": run_custom,
+    "fig3": lambda cfg: run_fig3(cfg, snapshots=False),
+    "loss-robustness": run_loss_robustness,
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, calls_per_group",
+    # the probe plus the group's other points: 3 (kt, sigma2) pairs for
+    # custom, the other kt for fig3 and loss-robustness
+    [("custom", 4), ("fig3", 2), ("loss-robustness", 2)],
+)
+def test_group_probe_row_is_reused(monkeypatch, experiment, calls_per_group):
+    # auto dim from 16 converges at 32 for this weakly squeezed lossy point
+    monkeypatch.setattr(harness, "_initial_dim", lambda *args: 16)
+    cfg = ExperimentConfig(
+        experiment, (0.0,), (0.5,), (1.0,), (0.1, 0.2), (0.1, 0.2), (0.0, 0.5)
+    )
+    gammas = []
+    evaluate = harness.evaluate_point
+
+    def counting(*args, **kwargs):
+        gammas.append(args[3])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_point", counting)
+    runner = GROUP_RUNNERS[experiment]
+    reused = rows_to_csv(runner(cfg).rows)
+    assert [gammas.count(g) for g in cfg.gamma] == [calls_per_group] * 2
+
+    group_dim = harness._group_dim
+    monkeypatch.setattr(
+        harness, "_group_dim", lambda *a, **k: (group_dim(*a, **k)[0], None)
+    )
+    gammas.clear()
+    recomputed = rows_to_csv(runner(cfg).rows)
+    assert [gammas.count(g) for g in cfg.gamma] == [calls_per_group + 1] * 2
+    assert recomputed == reused
 
 
 def test_run_wigner_single_snapshot():

@@ -192,6 +192,20 @@ def test_moment_basis_shapes():
         moment_basis(16, 0)
 
 
+def test_moment_basis_orders_share_cached_operators():
+    b1, b2, b3 = (moment_basis(20, order) for order in (1, 2, 3))
+    # lower orders are prefixes of order 3; a cache hit copies nothing
+    assert all(a is b for a, b in zip(b2.operators, b3.operators[:5]))
+    assert all(a is b for a, b in zip(b1.operators, b3.operators[:2]))
+    assert all(a is b for a, b in zip(moment_basis(20, 3).operators, b3.operators))
+    assert not any(op.matrix.flags.writeable for op in b3.operators)
+    x = fock.position(20).matrix
+    p = fock.momentum(20).matrix
+    np.testing.assert_array_equal(b1.operators[0].matrix, x)
+    np.testing.assert_allclose(b2.operators[4].matrix, (x @ p + p @ x) / 2.0, atol=1e-14)
+    np.testing.assert_allclose(b3.operators[5].matrix, x @ x @ x, atol=1e-12)
+
+
 def test_moment_first_order_equals_linear_readout():
     for seed, kt in ((1, 0.2), (2, 0.45)):
         state = kerr_state(80, delta=float(seed), eps=2.0, kt=kt)

@@ -1,4 +1,4 @@
-"""Displaced-parity Wigner evaluation against closed forms and dense oracles."""
+"""Laguerre-series Wigner evaluation against closed forms and dense oracles."""
 
 import math
 import warnings
@@ -6,17 +6,27 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from kerrsense import fock, gaussian
-from kerrsense.dynamics import HamiltonianParams, evolve_unitary
+from kerrsense.dynamics import HamiltonianParams, LossParams, evolve_lindblad, evolve_unitary
 from kerrsense.fock import QuantumState
+from kerrsense.harness import SNAPSHOT_GRID
 from kerrsense.wigner import (
     DEFAULT_GRID,
+    TRIM_TOL,
     GridCoverageWarning,
     PhaseGrid,
+    _laguerre_series,
+    _trimmed_dim,
     parity_expectation,
     position_distribution,
     wigner,
+)
+
+# every 10th point of SNAPSHOT_GRID; the corners sit at |alpha| = 6
+SNAPSHOT_SUBGRID = PhaseGrid(
+    x_range=SNAPSHOT_GRID.x_range, p_range=SNAPSHOT_GRID.p_range, nx=21, np=21
 )
 
 
@@ -144,26 +154,47 @@ def test_parity_expectation_values():
     assert abs(got - 1.0 / (1.0 + 2.0 * n_th)) < 1e-10
 
 
+def dense_displaced_parity(rho: np.ndarray, alpha: complex, big: int = 160) -> float:
+    """Independent route: pad rho by hand, displace with expm, take <D Pi D^dag>."""
+    padded = np.zeros((big, big), dtype=complex)
+    padded[: rho.shape[0], : rho.shape[1]] = rho
+    a = fock.annihilation(big).matrix
+    d = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+    shifted = d.conj().T @ padded @ d
+    signs = (-1.0) ** np.arange(big)
+    return float(np.sum(signs * np.diag(shifted)).real) / math.pi
+
+
 @pytest.mark.filterwarnings("ignore::kerrsense.wigner.GridCoverageWarning")
 def test_wigner_matches_dense_displaced_parity():
-    # independent route: pad by hand, displace with expm, take <D Pi D^dag>
     state = evolve_unitary(
         QuantumState.vacuum(48), HamiltonianParams(delta=1.0, epsilon=2.0, kerr=1.0), 0.4
     )
     grid = PhaseGrid(x_range=(-2.0, 2.0), p_range=(-2.0, 2.0), nx=9, np=9)
     w = wigner(state, grid)
-    big = 160
-    psi = np.zeros(big, dtype=complex)
-    psi[:48] = state.data
-    a = fock.annihilation(big).matrix
-    signs = (-1.0) ** np.arange(big)
+    rho = state.density_matrix()
     for i in (0, 4, 8):
         for j in (2, 6):
             alpha = (grid.x_values[i] + 1j * grid.p_values[j]) / math.sqrt(2.0)
-            d = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
-            shifted = d.conj().T @ psi
-            expected = float(np.real(np.vdot(shifted, signs * shifted))) / math.pi
-            assert abs(w[i, j] - expected) < 1e-10
+            assert abs(w[i, j] - dense_displaced_parity(rho, alpha)) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::kerrsense.wigner.GridCoverageWarning")
+def test_mixed_lossy_state_matches_dense_displaced_parity():
+    # the fig3 snapshot family: gamma/K = 0.1 at Kt = 0.4
+    state = evolve_lindblad(
+        QuantumState.vacuum(48),
+        HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0),
+        LossParams(0.1),
+        0.4,
+    )
+    assert not state.is_pure
+    grid = PhaseGrid(x_range=(-2.0, 2.0), p_range=(-2.0, 2.0), nx=9, np=9)
+    w = wigner(state, grid)
+    rho = state.density_matrix()
+    for i, j in ((0, 2), (4, 4), (8, 6), (1, 7), (6, 0)):
+        alpha = (grid.x_values[i] + 1j * grid.p_values[j]) / math.sqrt(2.0)
+        assert abs(w[i, j] - dense_displaced_parity(rho, alpha)) < 1e-10
 
 
 def test_marginal_matches_position_distribution():
@@ -199,6 +230,61 @@ def test_small_states_are_padded_not_biased():
     small = wigner(QuantumState.vacuum(8), grid)
     large = wigner(QuantumState.vacuum(128), grid)
     np.testing.assert_allclose(small, large, atol=1e-12)
+
+
+def coherent_ket(dim: int, beta: complex) -> np.ndarray:
+    # Poisson amplitudes in log space, independent of fock.displacement
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    mag = np.exp(-abs(beta) ** 2 / 2.0 + n * math.log(abs(beta)) - log_fact / 2.0)
+    return mag * np.exp(1j * n * np.angle(beta))
+
+
+@pytest.mark.filterwarnings("ignore::kerrsense.wigner.GridCoverageWarning")
+@pytest.mark.filterwarnings("ignore::kerrsense.fock.TruncationWarning")
+def test_large_dim_states_on_snapshot_grid():
+    x = SNAPSHOT_SUBGRID.x_values[:, None]
+    p = SNAPSHOT_SUBGRID.p_values[None, :]
+    # <n> = 200 keeps ~350 levels: f^k_0 = r^(k/2) e^(-r/2) / sqrt(k!) at
+    # |alpha| = 6 (r = 144) would overflow past k ~ 300 if formed directly
+    for beta in (10.0 + 10.0j, 2.0 - 1.5j):
+        state = QuantumState.from_ket(coherent_ket(512, beta))
+        w = wigner(state, SNAPSHOT_SUBGRID)
+        assert np.all(np.isfinite(w))
+        x0, p0 = math.sqrt(2.0) * beta.real, math.sqrt(2.0) * beta.imag
+        expected = np.exp(-((x - x0) ** 2) - (p - p0) ** 2) / math.pi
+        np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-12)
+    assert _trimmed_dim(QuantumState.from_ket(coherent_ket(512, 10.0 + 10.0j)).populations()) > 300
+    # a Fock state near the top level: W_n = (-1)^n L_n(r) e^{-r/2} / pi
+    r = 2.0 * (x**2 + p**2)
+    for n in (256, 510):
+        w = wigner(QuantumState.fock(512, n), SNAPSHOT_SUBGRID)
+        assert np.all(np.isfinite(w))
+        expected = (-1.0) ** n * scipy.special.eval_laguerre(n, r) * np.exp(-r / 2.0) / math.pi
+        np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, TRIM_TOL])
+def test_level_trim_stays_within_its_bound(tol):
+    grid = PhaseGrid(x_range=(-6.0, 6.0), p_range=(-6.0, 6.0), nx=41, np=41)
+    for state in (
+        QuantumState.from_ket(coherent_ket(96, 2.0 + 1.0j)),
+        QuantumState.thermal(96, 0.5),
+        evolve_unitary(
+            QuantumState.vacuum(96), HamiltonianParams(delta=1.0, epsilon=2.0, kerr=1.0), 0.4
+        ),
+    ):
+        rho = state.density_matrix()
+        dim = _trimmed_dim(state.populations(), tol)
+        assert dim < state.dim
+        full = _laguerre_series(rho, grid)
+        trimmed = _laguerre_series(rho[:dim, :dim], grid)
+        # rounding of the two sums adds a few ulps of 1/pi on top of the bound
+        assert float(np.max(np.abs(full - trimmed))) <= tol + 1e-15
+        # dim is the smallest number of levels that meets the bound
+        amp = np.sqrt(state.populations())
+        bound = [(2.0 / math.pi) * amp.sum() * amp[level:].sum() for level in (dim - 1, dim)]
+        assert bound[1] <= tol < bound[0]
 
 
 def test_grid_coverage_warning_for_clipped_state():
