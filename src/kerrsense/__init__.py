@@ -7,7 +7,13 @@ linear and higher-order moment sensitivities, quantum Fisher information,
 and the echo (measurement-after-interaction) protocol.  Closed-form Gaussian
 results provide independent cross-checks, a Wigner module renders phase-space
 snapshots, and a CLI drives reproducible parameter sweeps.
+
+Diagnostics go to the ``kerrsense`` stdlib logger (e.g. the dimensions that
+``converge_dim`` tries, at DEBUG).  It has a NullHandler, so nothing is
+printed unless the application configures logging.
 """
+
+import logging
 
 from .config import (
     ConfigError,
@@ -83,3 +89,5 @@ from .metrology import (
 from .wigner import PhaseGrid, wigner
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -4,8 +4,12 @@ Hamiltonian (hbar = 1):
 
     H = delta * a^dag a + epsilon * (a^dag^2 + a^2) - kerr * a^dag^2 a^2
 
-Unitary evolution goes through the exact spectral decomposition of the
-truncated H (one Hermitian eigendecomposition, reused across times).
+H changes the photon number by 0 or +-2, so it never mixes the even Fock
+levels (0, 2, 4, ...) with the odd ones, and on each of these photon-parity
+sectors it is a real symmetric tridiagonal matrix.  Unitary evolution goes
+through the exact spectral decomposition of each sector (one tridiagonal
+eigensolve, cached and reused across times) and propagates the even and odd
+rows of a state separately; the vacuum never leaves the even sector.
 Dissipative evolution under the single jump operator sqrt(gamma) * a is the
 exponential of the vectorised Liouvillian, applied matrix-free; an adaptive
 RK45 route on vec(rho) is available as an independent alternative.
@@ -18,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import (
@@ -25,7 +30,13 @@ from .fock import (
     QuantumState,
     TruncationError,
     check_dim,
+    converge_dim,
+    covariance_from_moments,
+    ket_ladder_moments,
+    normalized_kets,
     quadrature_covariance,
+    tail_populations,
+    warn_tail,
 )
 
 EVOLUTION_TAIL_ERROR = 1e-3
@@ -83,23 +94,59 @@ def hamiltonian(dim: int, p: HamiltonianParams) -> Operator:
 
 
 @lru_cache(maxsize=32)
-def _eigensystem(dim: int, delta: float, epsilon: float, kerr: float):
-    h = hamiltonian(dim, HamiltonianParams(delta, epsilon, kerr))
-    evals, evecs = np.linalg.eigh(h.matrix)
+def _eigensystem(dim: int, delta: float, epsilon: float, kerr: float, parity: int):
+    n = np.arange(parity, dim, 2, dtype=float)
+    diag = delta * n - kerr * n * (n - 1.0)
+    off = epsilon * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+    evals, evecs = eigh_tridiagonal(diag, off)
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs
 
 
-def eigensystem(dim: int, p: HamiltonianParams):
-    """Cached (eigenvalues, eigenvectors) of the truncated Hamiltonian."""
-    return _eigensystem(check_dim(dim), p.delta, p.epsilon, p.kerr)
+def eigensystem(dim: int, p: HamiltonianParams, parity: int = 0):
+    """Cached (eigenvalues, real eigenvectors) of H on one photon-parity sector.
+
+    The sector holds the Fock levels parity, parity + 2, ... below dim; row k
+    of the eigenvector matrix is level parity + 2k.
+    """
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity!r}")
+    return _eigensystem(check_dim(dim), p.delta, p.epsilon, p.kerr, parity)
+
+
+def _real_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real a and complex b, as one real GEMM on [Re b, Im b]."""
+    cols = b.reshape(b.shape[0], -1)
+    k = cols.shape[1]
+    out = a @ np.concatenate([cols.real, cols.imag], axis=1)
+    return (out[:, :k] + 1j * out[:, k:]).reshape((a.shape[0],) + b.shape[1:])
+
+
+def propagate(x, p: HamiltonianParams, t: float, density: bool = False) -> np.ndarray:
+    """exp(-i H t) applied to a ket, to the columns of a (dim, k) block, or,
+    with density=True, to a density matrix as U rho U^dag.
+
+    The even and odd rows propagate in their own parity sector; a sector
+    whose rows are all zero is skipped, so the vacuum never needs the odd one.
+    """
+    x = np.asarray(x, dtype=complex)
+    if density:  # U rho U^dag = (U (U rho)^dag)^dag
+        return propagate(propagate(x, p, t).conj().T, p, t).conj().T
+    out = np.zeros_like(x)
+    for parity in (0, 1):
+        rows = x[parity::2]
+        if not rows.any():
+            continue
+        evals, evecs = eigensystem(x.shape[0], p, parity)
+        phases = np.exp(-1j * evals * t).reshape((-1,) + (1,) * (x.ndim - 1))
+        out[parity::2] = _real_gemm(evecs, phases * _real_gemm(evecs.T, rows))
+    return out
 
 
 def propagator(dim: int, p: HamiltonianParams, t: float) -> Operator:
     """U(t) = exp(-i H t) built from the spectral decomposition."""
-    evals, evecs = eigensystem(dim, p)
-    return Operator((evecs * np.exp(-1j * evals * t)) @ evecs.conj().T)
+    return Operator(propagate(np.eye(check_dim(dim)), p, t))
 
 
 def _check_evolution_tail(state: QuantumState) -> QuantumState:
@@ -114,14 +161,10 @@ def _check_evolution_tail(state: QuantumState) -> QuantumState:
 
 def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> QuantumState:
     """Propagate a state with exp(-i H t); negative t reverses the evolution."""
-    evals, evecs = eigensystem(state.dim, p)
-    phases = np.exp(-1j * evals * t)
     if state.is_pure:
-        psi = evecs @ (phases * (evecs.conj().T @ state.data))
-        out = QuantumState.from_ket(psi)
+        out = QuantumState.from_ket(propagate(state.data, p, t))
     else:
-        u = (evecs * phases) @ evecs.conj().T
-        out = QuantumState.from_density_matrix(u @ state.data @ u.conj().T)
+        out = QuantumState.from_density_matrix(propagate(state.data, p, t, density=True))
     return _check_evolution_tail(out)
 
 
@@ -216,65 +259,100 @@ def evolve_lindblad(
 # squeezing figures
 
 
+def _quadrature_extremes(cov: np.ndarray):
+    """(V_min, theta_opt, V_max) of one 2x2 (X, P) covariance or a stack of them."""
+    evals, evecs = np.linalg.eigh(cov)
+    theta = np.arctan2(evecs[..., 1, 0], evecs[..., 0, 0]) % math.pi
+    return np.maximum(evals[..., 0], 0.0), theta, evals[..., 1]
+
+
 def min_variance(state: QuantumState) -> tuple[float, float]:
     """Smallest quadrature variance and its angle.
 
     Returns (v_min, theta_opt) with theta_opt in [0, pi); v_min is the smaller
     eigenvalue of the 2x2 covariance matrix of (X, P).
     """
-    gamma = quadrature_covariance(state)
-    evals, evecs = np.linalg.eigh(gamma)
-    v_min = float(max(evals[0], 0.0))
-    theta = float(np.arctan2(evecs[1, 0], evecs[0, 0])) % math.pi
-    return v_min, theta
+    v_min, theta, _ = _quadrature_extremes(quadrature_covariance(state))
+    return float(v_min), float(theta)
 
 
 @dataclass
-class SqueezingTrace:
-    """V_min and optimal angle along a time grid (from the vacuum)."""
+class VacuumTrajectory:
+    """The vacuum evolved under H along a time grid, with its squeezing figures.
+
+    kets[:, i] is exp(-i H t_i)|0> (zero on the odd levels); n_mean is
+    <a^dag a>, v_min and theta_opt the smallest quadrature variance and its
+    angle in [0, pi), f_q = 4 V_max the direction-optimised displacement QFI,
+    and tail the population of the top TAIL_FRACTION of levels.
+    """
 
     times: np.ndarray
+    kets: np.ndarray
+    n_mean: np.ndarray
     v_min: np.ndarray
     theta_opt: np.ndarray
+    f_q: np.ndarray
+    tail: np.ndarray
     dim: int
 
 
-def _vacuum_trace_vmin(dim: int, p: HamiltonianParams, t_grid: np.ndarray) -> np.ndarray:
+def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajectory:
+    """Evolve the vacuum to every time of t_grid at once.
+
+    The kets come from one real GEMM in the even sector,
+    V (cos(w t^T) c0 | -sin(w t^T) c0) with c0 = V[0] the vacuum's
+    eigenbasis components; the figures come from vectorised ladder moments.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-d array")
+    dim = check_dim(dim)
     evals, evecs = eigensystem(dim, p)
-    c0 = evecs.conj().T[:, 0]  # vacuum in the eigenbasis
-    out = np.empty(t_grid.shape[0])
-    for i, t in enumerate(t_grid):
-        psi = evecs @ (np.exp(-1j * evals * t) * c0)
-        state = QuantumState.from_ket(psi, check_tail=False)
-        out[i] = min_variance(state)[0]
-    return out
+    wt = np.outer(evals, t_grid)
+    c0 = evecs[0][:, None]
+    half = evecs @ np.concatenate([np.cos(wt) * c0, -np.sin(wt) * c0], axis=1)
+    kets = np.zeros((dim, t_grid.size), dtype=complex)
+    kets[0::2] = half[:, : t_grid.size] + 1j * half[:, t_grid.size :]
+    kets = normalized_kets(kets)
+    ma, ma2, mn = ket_ladder_moments(kets)
+    v_min, theta, v_max = _quadrature_extremes(covariance_from_moments(ma, ma2, mn))
+    return VacuumTrajectory(
+        times=t_grid,
+        kets=kets,
+        n_mean=mn,
+        v_min=v_min,
+        theta_opt=theta,
+        f_q=4.0 * v_max,
+        tail=tail_populations(np.abs(kets) ** 2),
+        dim=dim,
+    )
 
 
 def squeezing_trace(
     p: HamiltonianParams,
     t_grid,
     dim: int | None = None,
-) -> SqueezingTrace:
+) -> VacuumTrajectory:
     """Evolve the vacuum and record V_min(t), theta_opt(t) on t_grid.
 
     dim=None converges the dimension until the whole V_min trace is stable.
+    Warns (TruncationWarning) when a ket of the returned trajectory holds
+    more than TAIL_THRESHOLD in its top levels.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-d array")
-    if dim is None:
-        from .fock import converge_dim
+    trajectories: dict[int, VacuumTrajectory] = {}
 
-        _, dim = converge_dim(lambda d: _vacuum_trace_vmin(d, p, t_grid))
-    evals, evecs = eigensystem(dim, p)
-    c0 = evecs.conj().T[:, 0]
-    v_min = np.empty(t_grid.shape[0])
-    theta = np.empty(t_grid.shape[0])
-    for i, t in enumerate(t_grid):
-        psi = evecs @ (np.exp(-1j * evals * t) * c0)
-        state = QuantumState.from_ket(psi)
-        v_min[i], theta[i] = min_variance(state)
-    return SqueezingTrace(times=t_grid, v_min=v_min, theta_opt=theta, dim=dim)
+    def v_min_trace(d: int) -> np.ndarray:
+        trajectories[d] = vacuum_trajectory(p, t_grid, d)
+        return trajectories[d].v_min
+
+    if dim is None:
+        _, dim = converge_dim(v_min_trace)
+    else:
+        dim = check_dim(dim)
+        v_min_trace(dim)
+    trajectory = trajectories[dim]
+    warn_tail(float(np.max(trajectory.tail)), stacklevel=2)
+    return trajectory
 
 
 def optimal_squeezing(
@@ -310,12 +388,8 @@ def optimal_squeezing(
             f"V_min has no interior minimum on (0, {t_max}); kerr = {p.kerr}"
         )
 
-    evals, evecs = eigensystem(trace.dim, p)
-    c0 = evecs.conj().T[:, 0]
-
     def vmin_at(t: float) -> float:
-        psi = evecs @ (np.exp(-1j * evals * t) * c0)
-        return min_variance(QuantumState.from_ket(psi, check_tail=False))[0]
+        return float(vacuum_trajectory(p, [t], trace.dim).v_min[0])
 
     # golden-section on the bracketing interval
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

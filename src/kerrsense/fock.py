@@ -7,6 +7,7 @@ the vacuum has Var[X] = 1/2.
 """
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from functools import lru_cache
@@ -22,6 +23,8 @@ EIG_FLOOR = -1e-9
 TAIL_FRACTION = 0.05
 TAIL_THRESHOLD = 1e-8
 VARIANCE_FLOOR = -1e-10
+
+log = logging.getLogger(__name__)
 
 
 class DimensionMismatchError(ValueError):
@@ -187,9 +190,8 @@ class QuantumState:
 
     @classmethod
     def coherent(cls, dim: int, alpha: complex) -> "QuantumState":
-        dim = check_dim(dim)
-        d = displacement(dim, alpha)
-        return cls.from_ket(d.matrix[:, 0])
+        # no |alpha|^2 / dim warning: from_ket's tail check measures the truncation
+        return cls.from_ket(_displacement_matrix(check_dim(dim), complex(alpha))[:, 0])
 
     @classmethod
     def thermal(cls, dim: int, n_thermal: float) -> "QuantumState":
@@ -225,8 +227,7 @@ class QuantumState:
         return np.diag(self.data).real.copy()
 
     def tail_population(self, fraction: float = TAIL_FRACTION) -> float:
-        n_tail = max(1, math.ceil(fraction * self.dim))
-        return float(self.populations()[self.dim - n_tail:].sum())
+        return float(tail_populations(self.populations(), fraction))
 
     def purity(self) -> float:
         if self.is_pure:
@@ -234,17 +235,39 @@ class QuantumState:
         return float(np.sum(np.abs(self.data) ** 2))
 
     def _warn_tail(self, threshold: float = TAIL_THRESHOLD) -> None:
-        tail = self.tail_population()
-        if tail > threshold:
-            warnings.warn(
-                f"top {int(100 * TAIL_FRACTION)}% of Fock levels hold population "
-                f"{tail:.3e} (> {threshold:.0e}); increase dim",
-                TruncationWarning,
-                stacklevel=3,
-            )
+        warn_tail(self.tail_population(), threshold, stacklevel=3)
 
     def __repr__(self) -> str:
         return f"QuantumState(kind={self.kind!r}, dim={self.dim})"
+
+
+def tail_populations(populations: np.ndarray, fraction: float = TAIL_FRACTION):
+    """Population of the top `fraction` of levels, per column for a block."""
+    dim = populations.shape[0]
+    n_tail = max(1, math.ceil(fraction * dim))
+    return populations[dim - n_tail:].sum(axis=0)
+
+
+def warn_tail(tail: float, threshold: float = TAIL_THRESHOLD, stacklevel: int = 2) -> None:
+    """TruncationWarning when a tail population exceeds threshold."""
+    if tail > threshold:
+        warnings.warn(
+            f"top {int(100 * TAIL_FRACTION)}% of Fock levels hold population "
+            f"{tail:.3e} (> {threshold:.0e}); increase dim",
+            TruncationWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def normalized_kets(kets: np.ndarray) -> np.ndarray:
+    """The columns of a block of kets, checked as from_ket does and normalised."""
+    if not np.all(np.isfinite(kets)):
+        raise ValueError("state vector has non-finite entries")
+    norms = np.linalg.norm(kets, axis=0)
+    worst = norms[np.argmax(np.abs(norms - 1.0))]
+    if abs(worst - 1.0) > PURE_NORM_TOL:
+        raise ValueError(f"ket norm {float(worst)!r} deviates from 1 beyond {PURE_NORM_TOL}")
+    return kets / norms
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +330,12 @@ def displacement(dim: int, alpha: complex) -> Operator:
             TruncationWarning,
             stacklevel=2,
         )
+    return Operator(_displacement_matrix(dim, alpha))
+
+
+def _displacement_matrix(dim: int, alpha: complex) -> np.ndarray:
     a = _ladder_matrix(dim)
-    return Operator(expm(alpha * a.conj().T - np.conj(alpha) * a))
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 # ---------------------------------------------------------------------------
@@ -361,34 +388,43 @@ def covariance(state: QuantumState, a: Operator, b: Operator) -> float:
     return float(cross.real - mean_a * mean_b)
 
 
-def ladder_moments(state: QuantumState) -> tuple[complex, complex, float]:
-    """Return (<a>, <a^2>, <a^dag a>) using the band structure of a."""
-    dim = state.dim
-    n = np.arange(dim, dtype=float)
+def ket_ladder_moments(psi: np.ndarray):
+    """(<a>, <a^2>, <a^dag a>) of a ket, or arrays of them for the columns of a block."""
+    n = np.arange(psi.shape[0], dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
     sq1 = np.sqrt(n[1:])
     sq2 = np.sqrt(n[2:] * (n[2:] - 1.0))
-    if state.is_pure:
-        psi = state.data
-        ma = complex(np.sum(sq1 * np.conj(psi[:-1]) * psi[1:]))
-        ma2 = complex(np.sum(sq2 * np.conj(psi[:-2]) * psi[2:]))
-        mn = float(np.sum(n * np.abs(psi) ** 2))
-    else:
-        rho = state.data
-        ma = complex(np.sum(sq1 * np.diagonal(rho, offset=-1)))
-        ma2 = complex(np.sum(sq2 * np.diagonal(rho, offset=-2)))
-        mn = float(np.sum(n * np.diagonal(rho).real))
+    ma = np.sum(sq1 * np.conj(psi[:-1]) * psi[1:], axis=0)
+    ma2 = np.sum(sq2 * np.conj(psi[:-2]) * psi[2:], axis=0)
+    mn = np.sum(n * np.abs(psi) ** 2, axis=0)
     return ma, ma2, mn
+
+
+def ladder_moments(state: QuantumState) -> tuple[complex, complex, float]:
+    """Return (<a>, <a^2>, <a^dag a>) using the band structure of a."""
+    if state.is_pure:
+        ma, ma2, mn = ket_ladder_moments(state.data)
+        return complex(ma), complex(ma2), float(mn)
+    rho = state.data
+    n = np.arange(state.dim, dtype=float)
+    ma = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(rho, offset=-1)))
+    ma2 = complex(np.sum(np.sqrt(n[2:] * (n[2:] - 1.0)) * np.diagonal(rho, offset=-2)))
+    mn = float(np.sum(n * np.diagonal(rho).real))
+    return ma, ma2, mn
+
+
+def covariance_from_moments(ma, ma2, mn) -> np.ndarray:
+    """2x2 covariance matrix of (X, P) from ladder moments; (..., 2, 2) for arrays."""
+    mean_x = math.sqrt(2.0) * np.real(ma)
+    mean_p = math.sqrt(2.0) * np.imag(ma)
+    var_x = 0.5 + mn + np.real(ma2) - mean_x * mean_x
+    var_p = 0.5 + mn - np.real(ma2) - mean_p * mean_p
+    cov_xp = np.imag(ma2) - mean_x * mean_p
+    return np.moveaxis(np.array([[var_x, cov_xp], [cov_xp, var_p]]), (0, 1), (-2, -1))
 
 
 def quadrature_covariance(state: QuantumState) -> np.ndarray:
     """2x2 covariance matrix of (X, P) from ladder moments."""
-    ma, ma2, mn = ladder_moments(state)
-    mean_x = math.sqrt(2.0) * ma.real
-    mean_p = math.sqrt(2.0) * ma.imag
-    var_x = 0.5 + mn + ma2.real - mean_x * mean_x
-    var_p = 0.5 + mn - ma2.real - mean_p * mean_p
-    cov_xp = ma2.imag - mean_x * mean_p
-    return np.array([[var_x, cov_xp], [cov_xp, var_p]])
+    return covariance_from_moments(*ladder_moments(state))
 
 
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:
@@ -450,14 +486,18 @@ def converge_dim(
     """
     dim = check_dim(start_dim)
     prev = np.atleast_1d(np.asarray(builder(dim), dtype=float))
+    log.debug("converge_dim: tried dim %d", dim)
     while 2 * dim <= max_dim:
         nxt = np.atleast_1d(np.asarray(builder(2 * dim), dtype=float))
         scale = np.maximum(np.maximum(np.abs(prev), np.abs(nxt)), 1e-12)
         diff = np.abs(nxt - prev) / scale
         both_nan = np.isnan(prev) & np.isnan(nxt)
-        diff = np.where(both_nan, 0.0, diff)
-        if not np.any(np.isnan(diff)) and float(np.max(diff)) < rel_tol:
+        change = float(np.max(np.where(both_nan, 0.0, diff)))  # NaN if any entry is NaN
+        log.debug("converge_dim: tried dim %d, max relative change %.3e", 2 * dim, change)
+        if change < rel_tol:
+            log.debug("converge_dim: accepted dim %d (rel_tol %.1e)", 2 * dim, rel_tol)
             return nxt, 2 * dim
         prev = nxt
         dim *= 2
+    log.debug("converge_dim: no convergence up to dim %d", max_dim)
     raise TruncationError(f"no dimension convergence up to dim {max_dim}")

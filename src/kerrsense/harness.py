@@ -361,12 +361,7 @@ def run_fig1(
         p = HamiltonianParams(delta=delta0, epsilon=FIG1_TRACE_EPSILON, kerr=kerr)
         t_grid = np.array([_time_of(kerr, kt) for kt in cfg.kt])
         trace = dynamics.squeezing_trace(p, t_grid, dim=dim)
-        evals, evecs = dynamics.eigensystem(trace.dim, p)
-        c0 = evecs.conj().T[:, 0]
         for i, kt in enumerate(cfg.kt):
-            psi = evecs @ (np.exp(-1j * evals * t_grid[i]) * c0)
-            state = QuantumState.from_ket(psi, check_tail=False)
-            _, _, n_mean = fock.ladder_moments(state)
             rows.append(
                 SweepRow(
                     delta=delta0,
@@ -375,7 +370,7 @@ def run_fig1(
                     gamma=0.0,
                     kt=float(kt),
                     dim=trace.dim,
-                    n_mean=float(n_mean),
+                    n_mean=float(trace.n_mean[i]),
                     v_min=float(trace.v_min[i]),
                     chi2inv_1=float(1.0 / trace.v_min[i]) if trace.v_min[i] > 0 else None,
                 )
@@ -536,19 +531,8 @@ def _first_maximum(values: np.ndarray) -> int | None:
 
 def _scaling_series(dim: int, p: HamiltonianParams, t_grid: np.ndarray):
     """Mean excitation number and QFI along the vacuum trajectory."""
-    evals, evecs = dynamics.eigensystem(dim, p)
-    c0 = evecs.conj().T[:, 0]
-    n_mean = np.empty(t_grid.shape[0])
-    f_q = np.empty(t_grid.shape[0])
-    for i, t in enumerate(t_grid):
-        psi = evecs @ (np.exp(-1j * evals * t) * c0)
-        state = QuantumState.from_ket(psi, check_tail=False)
-        n_mean[i] = fock.ladder_moments(state)[2]
-        cov = fock.quadrature_covariance(state)
-        half_trace = (cov[0, 0] + cov[1, 1]) / 2.0
-        radius = math.hypot((cov[0, 0] - cov[1, 1]) / 2.0, cov[0, 1])
-        f_q[i] = 4.0 * (half_trace + radius)
-    return n_mean, f_q
+    trajectory = dynamics.vacuum_trajectory(p, t_grid, dim)
+    return trajectory.n_mean, trajectory.f_q
 
 
 def _fit_slope(n_mean: np.ndarray, f_q: np.ndarray, window: float) -> float:

@@ -380,27 +380,21 @@ def _mai_operator_route(
     dim: int,
 ) -> SensitivityReport:
     """Lossless echo sensitivity via the evolved measurement U M(theta) U^dag."""
-    evals, evecs = dynamics.eigensystem(dim, p)
-    c0 = evecs.conj().T[:, 0]
-
-    def prop(vec: np.ndarray, tau: float) -> np.ndarray:
-        return evecs @ (np.exp(-1j * evals * tau) * (evecs.conj().T @ vec))
-
-    psi = evecs @ (np.exp(-1j * evals * t) * c0)
-    psi_rev = prop(psi, -reversal_time)  # state in the reversed frame
+    vacuum = np.zeros(dim, dtype=complex)
+    vacuum[0] = 1.0
+    psi = dynamics.propagate(vacuum, p, t)
+    psi_rev = dynamics.propagate(psi, p, -reversal_time)  # state in the reversed frame
     state_rev = QuantumState.from_ket(psi_rev, check_tail=False)
     cov_rev = quadrature_covariance(state_rev)
 
-    # z[i, j] = <psi| G_i U_rev M_j |psi_rev>; numerator = 4 (n^T Im(z) m)^2
-    g_vecs = [apply_quadrature(psi, 0.0), apply_quadrature(psi, math.pi / 2.0)]
-    m_vecs = [
-        prop(apply_quadrature(psi_rev, 0.0), reversal_time),
-        prop(apply_quadrature(psi_rev, math.pi / 2.0), reversal_time),
-    ]
-    r = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            r[i, j] = complex(np.vdot(g_vecs[i], m_vecs[j])).imag
+    # z[i, j] = <psi| G_i U_rev M_j |psi_rev>; numerator = 4 (n^T Im(z) m)^2.
+    # The quadratures flip parity, so these kets propagate in the odd sector.
+    def quadratures(vec: np.ndarray) -> np.ndarray:
+        return np.stack([apply_quadrature(vec, 0.0), apply_quadrature(vec, math.pi / 2.0)], axis=1)
+
+    g_vecs = quadratures(psi)
+    m_vecs = dynamics.propagate(quadratures(psi_rev), p, reversal_time)
+    r = (g_vecs.conj().T @ m_vecs).imag
 
     def value_of_theta(theta: float) -> float:
         m = np.array([math.cos(theta), math.sin(theta)])

@@ -1,12 +1,15 @@
 """Closed and open evolution, squeezing figures, and their analytic oracles."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from kerrsense import dynamics, fock, gaussian
+from kerrsense.config import default_config
 from kerrsense.dynamics import (
     HamiltonianParams,
     LossParams,
@@ -18,10 +21,12 @@ from kerrsense.dynamics import (
     liouvillian,
     min_variance,
     optimal_squeezing,
+    propagate,
     propagator,
     squeezing_trace,
+    vacuum_trajectory,
 )
-from kerrsense.fock import QuantumState, TruncationError, ladder_moments
+from kerrsense.fock import QuantumState, TruncationError, TruncationWarning, ladder_moments
 
 
 def test_params_validation():
@@ -61,10 +66,95 @@ def test_propagator_matches_expm():
 
 
 def test_eigensystem_is_cached():
+    # one (eigenvalues, eigenvectors) pair per photon-parity sector: the even
+    # levels 0, 2, ..., 40 and the odd levels 1, 3, ..., 39 of dim 41
     p = HamiltonianParams(delta=0.5, epsilon=1.0, kerr=0.2)
-    first = eigensystem(40, p)
-    second = eigensystem(40, p)
-    assert first[0] is second[0] and first[1] is second[1]
+    for parity, size in ((0, 21), (1, 20)):
+        first = eigensystem(41, p, parity)
+        second = eigensystem(41, p, parity)
+        assert first[0] is second[0] and first[1] is second[1]
+        assert first[0].shape == (size,) and first[1].shape == (size, size)
+        assert first[1].dtype == np.float64
+    assert eigensystem(41, p) is eigensystem(41, p, 0)
+    with pytest.raises(ValueError):
+        eigensystem(41, p, 2)
+
+
+SECTOR_DIM = 64
+SECTOR_PARAMS = HamiltonianParams(delta=0.7, epsilon=1.3, kerr=0.4)
+
+
+def _dense_propagator(dim: int, p: HamiltonianParams, t: float) -> np.ndarray:
+    return scipy.linalg.expm(-1j * hamiltonian(dim, p).matrix * t)
+
+
+@pytest.mark.parametrize(
+    "ket",
+    [
+        QuantumState.fock(SECTOR_DIM, 2).ket,  # even
+        QuantumState.fock(SECTOR_DIM, 3).ket,  # odd
+        QuantumState.coherent(SECTOR_DIM, 1.1 - 0.6j).ket,  # both parities
+    ],
+    ids=["even", "odd", "coherent"],
+)
+def test_sector_propagation_matches_expm(ket):
+    t = 0.3
+    u = _dense_propagator(SECTOR_DIM, SECTOR_PARAMS, t)
+    np.testing.assert_allclose(propagate(ket, SECTOR_PARAMS, t), u @ ket, rtol=0, atol=1e-12)
+    block = np.stack([ket, np.roll(ket, 1)], axis=1)
+    np.testing.assert_allclose(propagate(block, SECTOR_PARAMS, t), u @ block, rtol=0, atol=1e-12)
+
+
+def test_sector_propagation_of_thermal_density_matrix():
+    t = 0.3
+    rho = QuantumState.thermal(SECTOR_DIM, 1.5).density_matrix()
+    u = _dense_propagator(SECTOR_DIM, SECTOR_PARAMS, t)
+    np.testing.assert_allclose(
+        propagate(rho, SECTOR_PARAMS, t, density=True), u @ rho @ u.conj().T, rtol=0, atol=1e-12
+    )
+
+
+def test_vacuum_evolution_never_solves_the_odd_sector():
+    p = HamiltonianParams(delta=0.31, epsilon=1.7, kerr=0.9)  # used by no other test
+    before = dynamics._eigensystem.cache_info().misses
+    vacuum_trajectory(p, np.linspace(0.0, 0.4, 5), 48)
+    evolve_unitary(QuantumState.vacuum(48), p, 0.4)
+    assert dynamics._eigensystem.cache_info().misses == before + 1
+
+
+def test_vacuum_trajectory_matches_dense_eigh():
+    dim = 96
+    p = HamiltonianParams(delta=-0.4, epsilon=1.2, kerr=0.6)
+    t_grid = np.linspace(0.0, 0.8, 9)
+    traj = vacuum_trajectory(p, t_grid, dim)
+    evals, evecs = np.linalg.eigh(hamiltonian(dim, p).matrix)
+    for i, t in enumerate(t_grid):
+        ket = evecs @ (np.exp(-1j * evals * t) * evecs.conj()[0])
+        np.testing.assert_allclose(traj.kets[:, i], ket, rtol=0, atol=1e-13)
+        state = QuantumState.from_ket(ket)
+        v_min, theta = min_variance(state)
+        assert traj.v_min[i] == pytest.approx(v_min, rel=1e-11)
+        assert traj.theta_opt[i] == pytest.approx(theta, abs=1e-9)
+        assert traj.n_mean[i] == pytest.approx(ladder_moments(state)[2], rel=1e-11)
+        assert traj.f_q[i] == pytest.approx(
+            4.0 * float(np.linalg.eigvalsh(fock.quadrature_covariance(state))[1]), rel=1e-11
+        )
+        assert traj.tail[i] == pytest.approx(state.tail_population(), rel=1e-9, abs=1e-30)
+    assert np.all(traj.kets[1::2] == 0.0)
+    assert traj.dim == dim and traj.times is not None
+
+
+def test_vacuum_trajectory_ideal_squeezing_at_dim_2560():
+    # kerr = 0 on fig1's kt grid (the bare time): the dim that the K = 0
+    # trace of fig1 climbs to
+    eps = 2.0
+    t = np.array(default_config("fig1").kt)
+    traj = vacuum_trajectory(HamiltonianParams(epsilon=eps), t, 2560)
+    np.testing.assert_allclose(traj.v_min, np.exp(-4.0 * eps * t) / 2.0, rtol=1e-9)
+    np.testing.assert_allclose(traj.n_mean[1:], np.sinh(2.0 * eps * t[1:]) ** 2, rtol=1e-9)
+    assert abs(traj.n_mean[0]) < 1e-20
+    np.testing.assert_allclose(traj.f_q, 2.0 * np.exp(4.0 * eps * t), rtol=1e-9)
+    np.testing.assert_allclose(traj.theta_opt[1:], math.pi / 4.0, rtol=1e-9)
 
 
 def test_ideal_squeezing_law():
@@ -277,6 +367,26 @@ def test_squeezing_trace_auto_dim_converges():
     assert trace.dim >= 80
     ref = squeezing_trace(p, np.linspace(0.0, 0.3, 4), dim=2 * trace.dim)
     np.testing.assert_allclose(trace.v_min, ref.v_min, rtol=1e-7)
+
+
+def test_squeezing_trace_logs_the_dimension_ladder(caplog):
+    p = HamiltonianParams(epsilon=2.0, kerr=1.0)
+    with caplog.at_level(logging.DEBUG, logger="kerrsense"):
+        trace = squeezing_trace(p, np.linspace(0.0, 0.3, 4))
+    messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.fock"]
+    assert messages[0] == "converge_dim: tried dim 80"
+    assert messages[1].startswith("converge_dim: tried dim 160, max relative change ")
+    assert messages[-1].startswith(f"converge_dim: accepted dim {trace.dim} ")
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+
+
+def test_squeezing_trace_warns_on_truncation_tail():
+    p = HamiltonianParams(epsilon=2.0)
+    with pytest.warns(TruncationWarning):
+        squeezing_trace(p, np.linspace(0.0, 0.5, 6), dim=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        squeezing_trace(p, np.linspace(0.0, 0.5, 6), dim=2560)
 
 
 def test_squeezing_trace_rejects_bad_grid():

@@ -1,6 +1,7 @@
 """Operator algebra, state constructors, and moments on the truncated space."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from kerrsense.fock import (
     displacement,
     expectation,
     identity,
+    ket_ladder_moments,
     ladder_moments,
     momentum,
     number_operator,
     parity,
     position,
     quadrature,
+    normalized_kets,
     quadrature_covariance,
     state_fidelity,
     variance,
@@ -202,6 +205,21 @@ def test_coherent_state_poisson_populations():
     assert abs(expectation(s, momentum(dim)).real - math.sqrt(2.0) * alpha.imag) < 1e-10
 
 
+def test_large_coherent_state_does_not_warn():
+    # |alpha|^2 = 100 at dim 512 trips the |alpha|^2 > dim/10 guess of
+    # displacement(), but the ket's measured tail is negligible
+    dim, alpha = 512, 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = QuantumState.coherent(dim, alpha)
+    n = np.arange(dim)
+    log_amp = -alpha**2 / 2.0 + n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+    np.testing.assert_allclose(s.ket.real, np.exp(log_amp), rtol=0, atol=1e-12)
+    assert np.max(np.abs(s.ket.imag)) < 1e-12
+    with pytest.warns(TruncationWarning):
+        displacement(dim, alpha)
+
+
 def test_thermal_state_geometric_weights():
     dim, n_th = 80, 0.7
     s = QuantumState.thermal(dim, n_th)
@@ -276,6 +294,28 @@ def test_ladder_moments_match_dense():
         assert abs(got_a - ma) < 1e-12
         assert abs(got_aa - maa) < 1e-12
         assert abs(got_n - n_mean) < 1e-12
+
+
+def test_ket_block_moments_match_per_ket():
+    block = np.stack([random_ket(30, seed).ket for seed in (1, 2, 3)], axis=1)
+    ma, ma2, mn = ket_ladder_moments(block)
+    cov = fock.covariance_from_moments(ma, ma2, mn)
+    assert cov.shape == (3, 2, 2)
+    for j in range(3):
+        state = QuantumState.from_ket(block[:, j], check_tail=False)
+        np.testing.assert_allclose([ma[j], ma2[j], mn[j]], ladder_moments(state), atol=1e-14)
+        np.testing.assert_allclose(cov[j], quadrature_covariance(state), atol=1e-14)
+
+
+def test_normalized_kets_checks_every_column():
+    block = np.stack([random_ket(20, 4).ket, random_ket(20, 5).ket], axis=1)
+    np.testing.assert_allclose(normalized_kets(block * (1.0 + 1e-12)), block, atol=1e-15)
+    with pytest.raises(ValueError, match="norm"):
+        normalized_kets(block * np.array([1.0, 1.0 + 1e-6]))
+    bad = block.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        normalized_kets(bad)
 
 
 def test_quadrature_covariance_matrix_entries():
