@@ -255,6 +255,14 @@ def evolve_lindblad(
     return _check_evolution_tail(out)
 
 
+def evolve_vacuum(dim: int, p: HamiltonianParams, loss: LossParams, t: float) -> QuantumState:
+    """The vacuum evolved for time t: a ket when gamma = 0, else a density matrix."""
+    vacuum = QuantumState.vacuum(dim)
+    if loss.gamma == 0.0:
+        return evolve_unitary(vacuum, p, t)
+    return evolve_lindblad(vacuum, p, loss, t)
+
+
 # ---------------------------------------------------------------------------
 # squeezing figures
 

@@ -7,6 +7,7 @@ the vacuum has Var[X] = 1/2.
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import warnings
@@ -190,8 +191,20 @@ class QuantumState:
 
     @classmethod
     def coherent(cls, dim: int, alpha: complex) -> "QuantumState":
-        # no |alpha|^2 / dim warning: from_ket's tail check measures the truncation
-        return cls.from_ket(_displacement_matrix(check_dim(dim), complex(alpha))[:, 0])
+        """|alpha> cut to dim levels and renormalised; from_ket's tail check
+        measures the truncation."""
+        dim = check_dim(dim)
+        alpha = complex(alpha)
+        if alpha == 0:
+            return cls.vacuum(dim)
+        # c_n ~ alpha^n / sqrt(n!) in log space, shifted by its maximum so that
+        # no |alpha| can underflow every level; the normalisation restores
+        # the e^{-|alpha|^2/2}
+        n = np.arange(dim, dtype=float)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+        log_c = n * math.log(abs(alpha)) - log_fact / 2.0
+        c = np.exp(log_c - log_c.max() + 1j * n * cmath.phase(alpha))
+        return cls.from_ket(c / np.linalg.norm(c))
 
     @classmethod
     def thermal(cls, dim: int, n_thermal: float) -> "QuantumState":
@@ -330,12 +343,8 @@ def displacement(dim: int, alpha: complex) -> Operator:
             TruncationWarning,
             stacklevel=2,
         )
-    return Operator(_displacement_matrix(dim, alpha))
-
-
-def _displacement_matrix(dim: int, alpha: complex) -> np.ndarray:
     a = _ladder_matrix(dim)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    return Operator(expm(alpha * a.conj().T - np.conj(alpha) * a))
 
 
 # ---------------------------------------------------------------------------

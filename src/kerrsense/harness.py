@@ -210,17 +210,11 @@ def _point_row(
     with_k3: bool = False,
     with_qfi: bool = True,
     with_mai: bool = True,
-    evolve_method: str = "expm",
 ) -> SweepRow:
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
     t = _time_of(kerr, kt)
-    vacuum = QuantumState.vacuum(dim)
-    if gamma == 0.0:
-        state = dynamics.evolve_unitary(vacuum, p, t)
-    else:
-        state = dynamics.evolve_lindblad(
-            vacuum, p, LossParams(gamma), t, method=evolve_method
-        )
+    loss = LossParams(gamma)
+    state = dynamics.evolve_vacuum(dim, p, loss, t)
     _, _, n_mean = fock.ladder_moments(state)
     v_min, _ = dynamics.min_variance(state)
     row = SweepRow(
@@ -244,14 +238,7 @@ def _point_row(
     if with_qfi:
         row.f_q = metrology.qfi_max(state).value
     if with_mai:
-        rep = metrology.mai_sensitivity(
-            p,
-            t,
-            loss=LossParams(gamma),
-            noise=noise,
-            dim=dim,
-            evolve_method=evolve_method,
-        )
+        rep = metrology.echo_sensitivity(state, p, loss, noise, t)
         row.chi2inv_mai = rep.value
         row.status = rep.status
     return row
@@ -736,12 +723,7 @@ def run_wigner(
         probe = evaluate_point(delta, epsilon, kerr, gamma, kt, dim=None, with_mai=False)
         dim = int(probe.dim)
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    t = _time_of(kerr, kt)
-    vacuum = QuantumState.vacuum(dim)
-    if gamma == 0.0:
-        state = dynamics.evolve_unitary(vacuum, p, t)
-    else:
-        state = dynamics.evolve_lindblad(vacuum, p, LossParams(gamma), t)
+    state = dynamics.evolve_vacuum(dim, p, LossParams(gamma), _time_of(kerr, kt))
     report = metrology.linear_sensitivity(state)
     snapshot = WignerSnapshot(
         name="state",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from . import dynamics
 from .fock import (
@@ -26,7 +27,6 @@ from .fock import (
     apply_quadrature,
     check_dim,
     converge_dim,
-    displacement,
     momentum,
     position,
     quadrature_covariance,
@@ -37,10 +37,6 @@ STANDARD_QUANTUM_LIMIT = 2.0
 DEGENERATE_VARIANCE = 1e-14
 QFI_EIG_CUTOFF = 1e-12
 PINV_RCOND = 1e-10
-ANGLE_GRID_POINTS = 72
-DERIVATIVE_STEP = 1e-4
-DERIVATIVE_FLOOR = 1e-8
-RICHARDSON_RTOL = 1e-5
 
 
 class DegenerateMeasurementError(ValueError):
@@ -64,7 +60,8 @@ class SensitivityReport:
 
     phi_opt is the generator angle, theta_opt the measurement angle (both mod
     pi); n_opt and m_opt are the corresponding direction vectors. status is
-    "ok" or "unreliable" (derivative below the numerical noise floor).
+    always "ok": no figure, the exact echo included, has an unreliable case.
+    It stays as the source of the CSV status column.
     """
 
     value: float
@@ -342,87 +339,49 @@ def moment_sensitivity(
 # measurement-after-interaction (echo) protocol
 
 
-def _refine_angle(fun, theta0: float, step: float, iters: int = 40) -> tuple[float, float]:
-    """Iterated three-point parabolic refinement of a smooth periodic maximum."""
-    theta, h = theta0, step
-    f0 = fun(theta)
-    for _ in range(iters):
-        fm, fp = fun(theta - h), fun(theta + h)
-        denom = fm - 2.0 * f0 + fp
-        if denom >= 0 or abs(denom) < 1e-300:
-            h /= 2.0
-            continue
-        shift = 0.5 * h * (fm - fp) / denom
-        shift = float(np.clip(shift, -h, h))
-        cand = theta + shift
-        fc = fun(cand)
-        if fc >= f0:
-            theta, f0 = cand, fc
-        h /= 2.0
-        if h < 1e-12:
-            break
-    return theta % math.pi, f0
+def _readout_optimum(r: np.ndarray, cov: np.ndarray, sigma2: float) -> SensitivityReport:
+    """Best linear readout of an echo with response matrix r.
 
-
-def _optimize_theta(value_of_theta) -> tuple[float, float]:
-    """Coarse 72-point scan over [0, pi) followed by local quadratic refinement."""
-    grid = np.arange(ANGLE_GRID_POINTS) * (math.pi / ANGLE_GRID_POINTS)
-    values = np.array([value_of_theta(t) for t in grid])
-    k = int(np.argmax(values))
-    return _refine_angle(value_of_theta, float(grid[k]), math.pi / ANGLE_GRID_POINTS)
+    r[i, j] = d<M_j>/dd for generator direction i and measured quadrature j
+    (both over (X, P)); cov is the quadrature covariance at readout. The value
+    max_m |r m|^2 / (m^T cov m + sigma2) over unit m is the top eigenvalue of
+    the pencil (r^T r, cov + sigma2 I), and m_opt its eigenvector. The pencil
+    is positive definite because V_min V_max >= 1/4.
+    """
+    evals, evecs = scipy.linalg.eigh(r.T @ r, cov + sigma2 * np.eye(2))
+    m_opt = evecs[:, -1] / np.linalg.norm(evecs[:, -1])
+    n_opt = r @ m_opt
+    norm = float(np.linalg.norm(n_opt))
+    n_opt = n_opt / norm if norm > 0 else np.array([1.0, 0.0])
+    return SensitivityReport(
+        value=float(evals[-1]),
+        phi_opt=_angle_of(n_opt),
+        theta_opt=_angle_of(m_opt),
+        n_opt=n_opt,
+        m_opt=m_opt,
+    )
 
 
 def _mai_operator_route(
+    psi: np.ndarray,
     p: dynamics.HamiltonianParams,
-    t: float,
     reversal_time: float,
     sigma2: float,
-    dim: int,
 ) -> SensitivityReport:
-    """Lossless echo sensitivity via the evolved measurement U M(theta) U^dag."""
-    vacuum = np.zeros(dim, dtype=complex)
-    vacuum[0] = 1.0
-    psi = dynamics.propagate(vacuum, p, t)
+    """Lossless echo sensitivity of the prepared ket psi, from the evolved
+    measurement U^dag M U with U = exp(+i H reversal_time)."""
     psi_rev = dynamics.propagate(psi, p, -reversal_time)  # state in the reversed frame
     state_rev = QuantumState.from_ket(psi_rev, check_tail=False)
-    cov_rev = quadrature_covariance(state_rev)
 
-    # z[i, j] = <psi| G_i U_rev M_j |psi_rev>; numerator = 4 (n^T Im(z) m)^2.
+    # r[i, j] = 2 Im <psi| G_i U^dag M_j U |psi> = d<M_j>/dd.
     # The quadratures flip parity, so these kets propagate in the odd sector.
     def quadratures(vec: np.ndarray) -> np.ndarray:
         return np.stack([apply_quadrature(vec, 0.0), apply_quadrature(vec, math.pi / 2.0)], axis=1)
 
     g_vecs = quadratures(psi)
     m_vecs = dynamics.propagate(quadratures(psi_rev), p, reversal_time)
-    r = (g_vecs.conj().T @ m_vecs).imag
-
-    def value_of_theta(theta: float) -> float:
-        m = np.array([math.cos(theta), math.sin(theta)])
-        den = float(m @ cov_rev @ m) + sigma2
-        num = 4.0 * float(np.sum((r @ m) ** 2))
-        return num / den
-
-    theta_opt, value = _optimize_theta(value_of_theta)
-    m_opt = np.array([math.cos(theta_opt), math.sin(theta_opt)])
-    n_opt = r @ m_opt
-    norm = float(np.linalg.norm(n_opt))
-    n_opt = n_opt / norm if norm > 0 else np.array([1.0, 0.0])
-    return SensitivityReport(
-        value=value,
-        phi_opt=_angle_of(n_opt),
-        theta_opt=theta_opt,
-        n_opt=n_opt,
-        m_opt=m_opt,
-    )
-
-
-def _displace_density(rho: np.ndarray, phi: float, step: float) -> np.ndarray:
-    """(D_+ rho D_+^dag - D_- rho D_-^dag) / (2 step) for generator G(phi)."""
-    dim = rho.shape[0]
-    alpha = -1j * step * np.exp(1j * phi) / math.sqrt(2.0)
-    d_plus = displacement(dim, alpha).matrix
-    d_minus = displacement(dim, -alpha).matrix
-    return (d_plus @ rho @ d_plus.conj().T - d_minus @ rho @ d_minus.conj().T) / (2.0 * step)
+    r = 2.0 * (g_vecs.conj().T @ m_vecs).imag
+    return _readout_optimum(r, quadrature_covariance(state_rev), sigma2)
 
 
 def _quadrature_means(rho: np.ndarray) -> np.ndarray:
@@ -433,93 +392,51 @@ def _quadrature_means(rho: np.ndarray) -> np.ndarray:
 
 
 def _mai_derivative_route(
+    rho: np.ndarray,
     p: dynamics.HamiltonianParams,
-    t: float,
     reversal_time: float,
     loss: dynamics.LossParams,
     sigma2: float,
-    dim: int,
-    delta_d: float,
-    evolve_method: str,
 ) -> SensitivityReport:
-    """Lossy echo sensitivity: numerator |d<M>/dd|^2 by central differences.
+    """Echo sensitivity of the prepared density matrix rho, lossy or not.
 
-    The prepared state is displaced, echo-evolved with -H under the same
-    dissipator, and the derivative is reconstructed from the two base
-    generator directions (the map is linear); the reported value is an honest
-    displaced evaluation at the optimal angles with a Richardson step-halving
-    check.
+    The derivative of D(d) rho D(d)^dag at d = 0 is -i[G, rho], and the echo
+    map is linear, so the columns (rho, -i[X, rho], -i[P, rho]) evolve once
+    under -H with the same dissipator: the first gives the readout
+    covariance, the other two the exact response d<M_j>/dd.
     """
-    lv_fwd = dynamics.liouvillian(dim, p, loss)
+    dim = rho.shape[0]
     lv_rev = dynamics.liouvillian(dim, p, loss, reverse=True)
-    vac = np.zeros(dim * dim, dtype=complex)
-    vac[0] = 1.0
-    rho = dynamics._lindblad_apply(lv_fwd, vac, t, method=evolve_method).reshape(dim, dim)
-
-    block = np.stack(
-        [
-            rho.reshape(-1),
-            _displace_density(rho, 0.0, delta_d).reshape(-1),
-            _displace_density(rho, math.pi / 2.0, delta_d).reshape(-1),
-        ],
-        axis=1,
-    )
-    evolved = dynamics._lindblad_apply(lv_rev, block, reversal_time, method=evolve_method)
+    x, p_op = position(dim).matrix, momentum(dim).matrix
+    columns = [rho, -1j * (x @ rho - rho @ x), -1j * (p_op @ rho - rho @ p_op)]
+    block = np.stack([c.reshape(-1) for c in columns], axis=1)
+    evolved = dynamics._lindblad_apply(lv_rev, block, reversal_time)
     rho_rev = evolved[:, 0].reshape(dim, dim)
     rho_rev = (rho_rev + rho_rev.conj().T) / 2.0
     state_rev = QuantumState.from_density_matrix(
         rho_rev / np.trace(rho_rev).real, check_tail=False
     )
-    cov_rev = quadrature_covariance(state_rev)
+    r = np.stack([_quadrature_means(evolved[:, k].reshape(dim, dim)) for k in (1, 2)])
+    return _readout_optimum(r, quadrature_covariance(state_rev), sigma2)
 
-    # r[i, j] = d<M_j>/dd for generator direction i in {X, P}
-    r = np.stack(
-        [
-            _quadrature_means(evolved[:, 1].reshape(dim, dim)),
-            _quadrature_means(evolved[:, 2].reshape(dim, dim)),
-        ],
-        axis=0,
-    )
 
-    def value_of_theta(theta: float) -> float:
-        m = np.array([math.cos(theta), math.sin(theta)])
-        den = float(m @ cov_rev @ m) + sigma2
-        return float(np.sum((r @ m) ** 2)) / den
+def echo_sensitivity(
+    state: QuantumState,
+    p: dynamics.HamiltonianParams,
+    loss: dynamics.LossParams,
+    noise: DetectionNoise | None,
+    reversal_time: float,
+) -> SensitivityReport:
+    """Echo-protocol sensitivity of a prepared state.
 
-    theta_opt, _ = _optimize_theta(value_of_theta)
-    m_opt = np.array([math.cos(theta_opt), math.sin(theta_opt)])
-    n_opt = r @ m_opt
-    norm = float(np.linalg.norm(n_opt))
-    n_opt = n_opt / norm if norm > 0 else np.array([1.0, 0.0])
-    phi_opt = _angle_of(n_opt)
-
-    # honest evaluation at the reported angles, with step-halving check
-    final = np.stack(
-        [
-            _displace_density(rho, phi_opt, delta_d).reshape(-1),
-            _displace_density(rho, phi_opt, delta_d / 2.0).reshape(-1),
-        ],
-        axis=1,
-    )
-    final = dynamics._lindblad_apply(lv_rev, final, reversal_time, method=evolve_method)
-    d_full = float(_quadrature_means(final[:, 0].reshape(dim, dim)) @ m_opt)
-    d_half = float(_quadrature_means(final[:, 1].reshape(dim, dim)) @ m_opt)
-    den = float(m_opt @ cov_rev @ m_opt) + sigma2
-
-    status = "ok"
-    if abs(d_half) < DERIVATIVE_FLOOR:
-        status = "unreliable"
-    elif abs(d_full - d_half) > RICHARDSON_RTOL * abs(d_half):
-        status = "unreliable"
-    value = d_half * d_half / den if status == "ok" else float("nan")
-    return SensitivityReport(
-        value=value,
-        phi_opt=phi_opt,
-        theta_opt=theta_opt,
-        n_opt=n_opt,
-        m_opt=m_opt,
-        status=status,
-    )
+    The state is displaced, evolves for reversal_time under -H with the loss
+    dissipator, and a linear quadrature is measured. A pure state without
+    loss takes the operator route; otherwise the linear-response route.
+    """
+    sigma2 = noise.sigma2 if noise is not None else 0.0
+    if loss.gamma == 0.0 and state.is_pure:
+        return _mai_operator_route(state.ket, p, reversal_time, sigma2)
+    return _mai_derivative_route(state.density_matrix(), p, reversal_time, loss, sigma2)
 
 
 def mai_sensitivity(
@@ -530,29 +447,28 @@ def mai_sensitivity(
     reversal_time: float | None = None,
     dim: int | None = None,
     method: str = "auto",
-    delta_d: float = DERIVATIVE_STEP,
-    evolve_method: str = "expm",
 ) -> SensitivityReport:
     """Echo-protocol sensitivity for the state prepared from the vacuum.
 
-    The state evolves for time t under (p, loss), is displaced, evolves for
-    reversal_time (default t) under -H with the same dissipator, and a linear
-    quadrature is measured. method "operator" uses the exact evolved
-    measurement (lossless only); "derivative" uses central-difference
-    numerics; "auto" picks by gamma. dim=None converges the Fock dimension.
+    The state evolves for time t under (p, loss) and then goes through
+    echo_sensitivity with reversal_time (default t). Both routes are exact:
+    method "operator" uses the evolved measurement (lossless only),
+    "derivative" the propagated linear response -i[G, rho]; "auto" picks by
+    gamma. dim=None converges the Fock dimension.
     """
     loss = loss if loss is not None else dynamics.LossParams(0.0)
     sigma2 = noise.sigma2 if noise is not None else 0.0
     t_rev = reversal_time if reversal_time is not None else t
-    if method == "auto":
-        method = "operator" if loss.gamma == 0.0 else "derivative"
+    if method not in ("auto", "operator", "derivative"):
+        raise ValueError(f"unknown echo method {method!r}")
     if method == "operator" and loss.gamma != 0.0:
         raise ValueError("operator route is only valid for lossless evolution")
 
     def run(d: int) -> SensitivityReport:
-        if method == "operator":
-            return _mai_operator_route(p, t, t_rev, sigma2, d)
-        return _mai_derivative_route(p, t, t_rev, loss, sigma2, d, delta_d, evolve_method)
+        state = dynamics.evolve_vacuum(d, p, loss, t)
+        if method == "derivative":
+            return _mai_derivative_route(state.density_matrix(), p, t_rev, loss, sigma2)
+        return echo_sensitivity(state, p, loss, noise, t_rev)
 
     if dim is not None:
         return run(check_dim(dim))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrsense import harness
+from kerrsense import dynamics, harness
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
 from kerrsense.dynamics import HamiltonianParams, evolve_unitary
@@ -136,6 +136,22 @@ def test_evaluate_point_flags():
     assert row.chi2inv_mai is None and row.f_q is None
     assert row.chi2inv_2 is not None
     assert row.chi2inv_1 == pytest.approx(row.chi2inv_2, abs=1e-8)
+
+
+def test_lossy_point_propagates_four_lindblad_columns(monkeypatch):
+    # one forward column for the prepared state, then rho, -i[X, rho] and
+    # -i[P, rho] backwards once for the echo
+    apply = dynamics._lindblad_apply
+    columns = []
+
+    def counting(lv, block, t, *args, **kwargs):
+        columns.append(block.shape[1] if block.ndim == 2 else 1)
+        return apply(lv, block, t, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_lindblad_apply", counting)
+    row = evaluate_point(0.0, 2.0, 1.0, 0.1, 0.4, dim=32)
+    assert row.status == "ok" and row.chi2inv_mai > 0.0
+    assert columns == [1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -287,13 +287,39 @@ def test_moment_report_directions():
 # echo protocol
 
 
-def test_mai_operator_and_derivative_routes_agree():
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+@pytest.mark.parametrize("kt", [0.25, 0.3, 0.5, 0.6])
+def test_mai_operator_and_derivative_routes_agree(kt, sigma2):
+    # both routes are exact, so at gamma = 0 they agree to rounding
     p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
-    op = mai_sensitivity(p, 0.3, dim=48, method="operator")
-    dv = mai_sensitivity(p, 0.3, dim=48, method="derivative")
+    noise = DetectionNoise(sigma2)
+    op = mai_sensitivity(p, kt, loss=None, noise=noise, dim=48, method="operator")
+    dv = mai_sensitivity(p, kt, loss=LossParams(0.0), noise=noise, dim=48, method="derivative")
     assert op.status == "ok" and dv.status == "ok"
-    assert abs(op.value - dv.value) < 1e-6 * op.value
-    assert abs(op.theta_opt - dv.theta_opt) % math.pi < 1e-4
+    assert abs(op.value - dv.value) < 1e-12 * op.value
+    assert abs(op.theta_opt - dv.theta_opt) % math.pi < 1e-9
+
+
+def test_readout_optimum_is_the_best_angle():
+    rng = np.random.default_rng(7)
+    theta = np.arange(4096) * (math.pi / 4096)
+    m = np.stack([np.cos(theta), np.sin(theta)])
+    for sigma2 in (0.0, 0.3, 2.0):
+        r = rng.normal(size=(2, 2))
+        # a quadrature covariance: principal variances with V_min V_max >= 1/4
+        angle = rng.uniform(0.0, math.pi)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        cov = rot @ np.diag([rng.uniform(0.25, 1.0), rng.uniform(0.5, 2.0)]) @ rot.T
+        rep = metrology._readout_optimum(r, cov, sigma2)
+
+        def quotient(vecs):
+            return np.sum((r @ vecs) ** 2, axis=0) / (np.sum(vecs * (cov @ vecs), axis=0) + sigma2)
+
+        brute = float(np.max(quotient(m)))
+        assert brute <= rep.value <= brute * (1.0 + 1e-6)
+        assert abs(float(quotient(rep.m_opt[:, None])[0]) - rep.value) < 1e-12 * rep.value
+        assert abs(np.linalg.norm(rep.m_opt) - 1.0) < 1e-12
+        assert abs(rep.theta_opt - math.atan2(rep.m_opt[1], rep.m_opt[0]) % math.pi) < 1e-15
 
 
 def test_mai_gaussian_limit_no_echo_gain():
@@ -343,6 +369,8 @@ def test_mai_operator_route_rejects_loss():
             dim=48,
             method="operator",
         )
+    with pytest.raises(ValueError):
+        mai_sensitivity(HamiltonianParams(epsilon=2.0, kerr=1.0), 0.3, dim=48, method="rk45")
 
 
 def test_mai_lossy_respects_cramer_rao():
@@ -353,9 +381,3 @@ def test_mai_lossy_respects_cramer_rao():
     rho = evolve_lindblad(QuantumState.vacuum(48), p, loss, 0.3)
     assert 0.0 < rep.value <= qfi_mixed(rho).value + 1e-6
 
-
-def test_mai_lossy_matches_lossless_at_gamma_zero():
-    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
-    op = mai_sensitivity(p, 0.25, dim=48, method="operator")
-    dv = mai_sensitivity(p, 0.25, loss=LossParams(0.0), dim=48, method="derivative")
-    assert abs(op.value - dv.value) < 1e-6 * op.value
