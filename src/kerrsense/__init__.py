@@ -29,7 +29,6 @@ from .dynamics import (
     NoInteriorMinimumError,
     evolve_lindblad,
     evolve_unitary,
-    evolve_vacuum,
     hamiltonian,
     min_variance,
     optimal_squeezing,
@@ -79,7 +78,6 @@ from .metrology import (
     DetectionNoise,
     MomentBasis,
     SensitivityReport,
-    echo_sensitivity,
     linear_sensitivity,
     mai_sensitivity,
     moment_basis,

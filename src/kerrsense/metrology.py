@@ -426,17 +426,26 @@ def echo_sensitivity(
     loss: dynamics.LossParams,
     noise: DetectionNoise | None,
     reversal_time: float,
+    method: str = "auto",
 ) -> SensitivityReport:
     """Echo-protocol sensitivity of a prepared state.
 
     The state is displaced, evolves for reversal_time under -H with the loss
-    dissipator, and a linear quadrature is measured. A pure state without
-    loss takes the operator route; otherwise the linear-response route.
+    dissipator, and a linear quadrature is measured. Both routes are exact:
+    method "operator" uses the evolved measurement (pure state, lossless
+    only), "derivative" the propagated linear response -i[G, rho]; "auto"
+    takes the operator route for a pure state without loss.
     """
+    if method == "auto":
+        method = "operator" if loss.gamma == 0.0 and state.is_pure else "derivative"
     sigma2 = noise.sigma2 if noise is not None else 0.0
-    if loss.gamma == 0.0 and state.is_pure:
+    if method == "operator":
+        if loss.gamma != 0.0:
+            raise ValueError("operator route is only valid for lossless evolution")
         return _mai_operator_route(state.ket, p, reversal_time, sigma2)
-    return _mai_derivative_route(state.density_matrix(), p, reversal_time, loss, sigma2)
+    if method == "derivative":
+        return _mai_derivative_route(state.density_matrix(), p, reversal_time, loss, sigma2)
+    raise ValueError(f"unknown echo method {method!r}")
 
 
 def mai_sensitivity(
@@ -451,24 +460,15 @@ def mai_sensitivity(
     """Echo-protocol sensitivity for the state prepared from the vacuum.
 
     The state evolves for time t under (p, loss) and then goes through
-    echo_sensitivity with reversal_time (default t). Both routes are exact:
-    method "operator" uses the evolved measurement (lossless only),
-    "derivative" the propagated linear response -i[G, rho]; "auto" picks by
-    gamma. dim=None converges the Fock dimension.
+    echo_sensitivity with reversal_time (default t) and method. dim=None
+    converges the Fock dimension.
     """
     loss = loss if loss is not None else dynamics.LossParams(0.0)
-    sigma2 = noise.sigma2 if noise is not None else 0.0
     t_rev = reversal_time if reversal_time is not None else t
-    if method not in ("auto", "operator", "derivative"):
-        raise ValueError(f"unknown echo method {method!r}")
-    if method == "operator" and loss.gamma != 0.0:
-        raise ValueError("operator route is only valid for lossless evolution")
 
     def run(d: int) -> SensitivityReport:
         state = dynamics.evolve_vacuum(d, p, loss, t)
-        if method == "derivative":
-            return _mai_derivative_route(state.density_matrix(), p, t_rev, loss, sigma2)
-        return echo_sensitivity(state, p, loss, noise, t_rev)
+        return echo_sensitivity(state, p, loss, noise, t_rev, method)
 
     if dim is not None:
         return run(check_dim(dim))

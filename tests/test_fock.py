@@ -198,6 +198,7 @@ def test_coherent_state_poisson_populations():
     n = abs(alpha) ** 2
     expected = np.exp(-n) * n ** np.arange(dim) / factorials(dim)
     np.testing.assert_allclose(s.populations(), expected, atol=1e-12)
+    assert abs(expectation(s, number_operator(dim)).real - n) < 1e-10
     # dim 1024: the Poisson weights in log space, since 1023! overflows a float
     big = QuantumState.coherent(1024, 3.0)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(1024)])
