@@ -8,9 +8,12 @@ files.
 
 Dimension policy: with dim=None the Fock dimension is doubled until every
 reported figure is stable to AUTO_DIM_RTOL.  Pure-state rows converge
-individually (eigendecompositions are cached per Hamiltonian); dissipative
-sweeps converge once per parameter group at the largest Kt, where the state
-support is widest, and reuse that dimension for the whole group.
+individually (eigendecompositions are cached per Hamiltonian).  A dissipative
+parameter group (one delta, epsilon, kerr, gamma over the Kt axis) is one
+pass per dimension: the vacuum evolves once through the group's times and
+the echo readouts once backwards.  Its dimension is doubled over whole passes
+until the row at the largest Kt, where the state support is widest, is
+stable.
 
 Time convention: the ``kt`` grid value means K*t when kerr > 0 and the bare
 evolution time when kerr = 0, so ideal-squeezing reference rows remain
@@ -20,6 +23,7 @@ expressible.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -197,6 +201,54 @@ def _initial_dim(delta: float, epsilon: float, kerr: float, t: float) -> int:
     return int(min(max(32, 16 * math.ceil(guess / 16.0)), 2048))
 
 
+def _state_rows(
+    delta: float,
+    epsilon: float,
+    kerr: float,
+    gamma: float,
+    kt: float,
+    state: QuantumState,
+    echo: tuple[np.ndarray, np.ndarray] | None,
+    sigma2s,
+    with_linear: bool = True,
+    with_k2: bool = False,
+    with_k3: bool = False,
+    with_qfi: bool = True,
+) -> list[SweepRow]:
+    """One row per sigma2 for a prepared state; echo is its (r, cov) echo
+    response (metrology.echo_responses), or None to leave chi2inv_mai out."""
+    _, _, n_mean = fock.ladder_moments(state)
+    v_min, _ = dynamics.min_variance(state)
+    chi2inv_2 = metrology.moment_sensitivity(state, 2).value if with_k2 else None
+    chi2inv_3 = metrology.moment_sensitivity(state, 3).value if with_k3 else None
+    f_q = metrology.qfi_max(state).value if with_qfi else None
+    rows = []
+    for sigma2 in sigma2s:
+        row = SweepRow(
+            delta=delta,
+            epsilon=epsilon,
+            kerr=kerr,
+            gamma=gamma,
+            kt=kt,
+            dim=state.dim,
+            n_mean=float(n_mean),
+            v_min=v_min,
+            chi2inv_2=chi2inv_2,
+            chi2inv_3=chi2inv_3,
+            f_q=f_q,
+            sigma2=sigma2,
+        )
+        if with_linear:
+            noise = DetectionNoise(sigma2)
+            row.chi2inv_1 = metrology.noisy_linear_sensitivity(state, noise).value
+        if echo is not None:
+            rep = metrology.readout_optimum(*echo, sigma2)
+            row.chi2inv_mai = rep.value
+            row.status = rep.status
+        rows.append(row)
+    return rows
+
+
 def _point_row(
     delta: float,
     epsilon: float,
@@ -205,42 +257,15 @@ def _point_row(
     kt: float,
     sigma2: float,
     dim: int,
-    with_linear: bool = True,
-    with_k2: bool = False,
-    with_k3: bool = False,
-    with_qfi: bool = True,
     with_mai: bool = True,
+    **flags,
 ) -> SweepRow:
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
     t = _time_of(kerr, kt)
     loss = LossParams(gamma)
     state = dynamics.evolve_vacuum(dim, p, loss, t)
-    _, _, n_mean = fock.ladder_moments(state)
-    v_min, _ = dynamics.min_variance(state)
-    row = SweepRow(
-        delta=delta,
-        epsilon=epsilon,
-        kerr=kerr,
-        gamma=gamma,
-        kt=kt,
-        dim=dim,
-        n_mean=float(n_mean),
-        v_min=v_min,
-        sigma2=sigma2,
-    )
-    noise = DetectionNoise(sigma2)
-    if with_linear:
-        row.chi2inv_1 = metrology.noisy_linear_sensitivity(state, noise).value
-    if with_k2:
-        row.chi2inv_2 = metrology.moment_sensitivity(state, 2).value
-    if with_k3:
-        row.chi2inv_3 = metrology.moment_sensitivity(state, 3).value
-    if with_qfi:
-        row.f_q = metrology.qfi_max(state).value
-    if with_mai:
-        rep = metrology.echo_sensitivity(state, p, loss, noise, t)
-        row.chi2inv_mai = rep.value
-        row.status = rep.status
+    echo = metrology.echo_responses([state], p, loss, [t])[0] if with_mai else None
+    (row,) = _state_rows(delta, epsilon, kerr, gamma, kt, state, echo, [sigma2], **flags)
     return row
 
 
@@ -283,42 +308,92 @@ def evaluate_point(
     return rows[used]
 
 
+def _group_pass(
+    delta: float,
+    epsilon: float,
+    kerr: float,
+    gamma: float,
+    kt_values,
+    sigma2s,
+    dim: int,
+    with_mai: bool = True,
+    **flags,
+) -> list[SweepRow]:
+    """The rows kt_values x sigma2s (sigma2 fastest) of a lossy group at dim.
+
+    The vacuum evolves forwards once, chained through the group's sorted
+    distinct times, and the echo readouts evolve backwards once through the
+    same times (metrology.echo_responses).
+    """
+    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
+    loss = LossParams(gamma)
+    kts = sorted(set(kt_values))
+    times = [_time_of(kerr, kt) for kt in kts]
+    states = dynamics.evolve_lindblad_grid(QuantumState.vacuum(dim), p, loss, times)
+    echoes = metrology.echo_responses(states, p, loss, times) if with_mai else [None] * len(kts)
+    by_kt = {
+        kt: _state_rows(delta, epsilon, kerr, gamma, kt, state, echo, sigma2s, **flags)
+        for kt, state, echo in zip(kts, states, echoes)
+    }
+    return [dataclasses.replace(row) for kt in kt_values for row in by_kt[kt]]
+
+
 def _group_dim(
     delta: float,
     epsilon: float,
     kerr: float,
     gamma: float,
     kt_values,
-    sigma2: float,
+    sigma2s,
     **flags,
-) -> tuple[int, SweepRow]:
-    """Converged dimension for a dissipative group, probed at the largest Kt.
+) -> tuple[int, list[SweepRow]]:
+    """Converged dimension of a lossy group and the group's rows at it.
 
-    Returns the dimension and the probe row, which is the group's row at
-    (max Kt, sigma2) for the same flags.
+    Doubles over whole group passes, monitoring the (max Kt, sigma2s[0]) row,
+    where the state support is widest, from the start dimension that
+    evaluate_point would use for that row.
     """
     kt_ref = max(kt_values)
-    row = evaluate_point(delta, epsilon, kerr, gamma, kt_ref, sigma2, dim=None, **flags)
-    return int(row.dim), row
+    i_ref = list(kt_values).index(kt_ref) * len(sigma2s)
+    passes: dict[int, list[SweepRow]] = {}
+
+    def monitored(d: int) -> np.ndarray:
+        passes[d] = _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, d, **flags)
+        return _row_figures(passes[d][i_ref])
+
+    start = _initial_dim(delta, epsilon, kerr, _time_of(kerr, kt_ref))
+    _, used = fock.converge_dim(monitored, start_dim=start, rel_tol=AUTO_DIM_RTOL)
+    return used, passes[used]
 
 
-def _group_point(
+def _group_rows(
     delta: float,
     epsilon: float,
     kerr: float,
     gamma: float,
+    kt_values,
+    sigma2s,
     dim: int | None,
-    probe: SweepRow | None,
+    threads: int,
     **flags,
-):
-    """evaluate_point(kt, sigma2) for one group, reusing the group's probe row."""
+) -> list[SweepRow]:
+    """The rows kt_values x sigma2s (sigma2 fastest) of one parameter group.
 
-    def point(kt: float, sigma2: float) -> SweepRow:
-        if probe is not None and (kt, sigma2) == (probe.kt, probe.sigma2):
-            return probe
-        return evaluate_point(delta, epsilon, kerr, gamma, kt, sigma2, dim=dim, **flags)
+    A lossy group of several points is one pass per dimension, and its rows
+    share one dimension.  Lossless points, and a lossy group of one point,
+    are independent evaluate_point calls fanned out to threads, each
+    converging its own dimension when dim is None.
+    """
+    points = [(kt, s2) for kt in kt_values for s2 in sigma2s]
+    if gamma > 0.0 and len(points) > 1:
+        if dim is None:
+            return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, **flags)[1]
+        return _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
 
-    return point
+    def point(ps: tuple[float, float]) -> SweepRow:
+        return evaluate_point(delta, epsilon, kerr, gamma, *ps, dim=dim, **flags)
+
+    return _map(point, points, threads)
 
 
 def _map(fn, items, threads: int) -> list:
@@ -493,13 +568,12 @@ def run_fig3(
     rows: list[SweepRow] = []
     snapshot_dim = dim
     for gamma in cfg.gamma:
-        group_dim, probe = dim, None
-        if gamma != 0.0 and dim is None:
-            group_dim, probe = _group_dim(delta, epsilon, kerr, gamma, cfg.kt, sigma2, **flags)
-            if gamma == SNAPSHOT_GAMMA * kerr:
-                snapshot_dim = group_dim
-        point = _group_point(delta, epsilon, kerr, gamma, group_dim, probe, **flags)
-        rows.extend(_map(lambda kt: point(kt, sigma2), cfg.kt, threads))
+        group_rows = _group_rows(
+            delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim, threads, **flags
+        )
+        if gamma > 0.0 and gamma == SNAPSHOT_GAMMA * kerr:
+            snapshot_dim = group_rows[0].dim
+        rows.extend(group_rows)
     _check_lossless_ordering(rows)
     snaps = (
         _fig3_snapshots(delta, epsilon, kerr, snapshot_dim, snapshot_grid)
@@ -627,11 +701,11 @@ def run_loss_robustness(
     kt_grid = np.array(cfg.kt)
     rows: list[SweepRow] = []
     for gamma in cfg.gamma:
-        group_dim, probe = dim, None
-        if group_dim is None:
-            group_dim, probe = _group_dim(delta, epsilon, kerr, gamma, cfg.kt, sigma2)
-        point = _group_point(delta, epsilon, kerr, gamma, group_dim, probe)
-        grid_rows = _map(lambda kt: point(kt, sigma2), cfg.kt, threads)
+        group_dim = dim
+        if gamma == 0.0 and dim is None:  # lossless rows share the largest Kt's dim
+            group_dim = evaluate_point(delta, epsilon, kerr, 0.0, max(cfg.kt), sigma2).dim
+        grid_rows = _group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], group_dim, threads)
+        group_dim = grid_rows[0].dim
 
         def refined_max(getter, **flags) -> tuple[float, float, SweepRow]:
             values = np.array(
@@ -694,16 +768,11 @@ def run_custom(
         for epsilon in cfg.epsilon:
             for kerr in cfg.kerr:
                 for gamma in cfg.gamma:
-                    group_dim, probe = dim, None
-                    if group_dim is None and gamma > 0.0:
-                        group_dim, probe = _group_dim(
-                            delta, epsilon, kerr, gamma, cfg.kt, cfg.sigma2[0], **flags
+                    rows.extend(
+                        _group_rows(
+                            delta, epsilon, kerr, gamma, cfg.kt, cfg.sigma2, dim, threads, **flags
                         )
-                    point = _group_point(
-                        delta, epsilon, kerr, gamma, group_dim, probe, **flags
                     )
-                    points = [(kt, s2) for kt in cfg.kt for s2 in cfg.sigma2]
-                    rows.extend(_map(lambda ps: point(*ps), points, threads))
     return SweepResult(experiment="custom", rows=rows)
 
 

@@ -24,9 +24,11 @@ from .fock import (
     DimensionMismatchError,
     Operator,
     QuantumState,
+    annihilation,
     apply_quadrature,
     check_dim,
     converge_dim,
+    covariance_from_moments,
     momentum,
     position,
     quadrature_covariance,
@@ -339,7 +341,7 @@ def moment_sensitivity(
 # measurement-after-interaction (echo) protocol
 
 
-def _readout_optimum(r: np.ndarray, cov: np.ndarray, sigma2: float) -> SensitivityReport:
+def readout_optimum(r: np.ndarray, cov: np.ndarray, sigma2: float) -> SensitivityReport:
     """Best linear readout of an echo with response matrix r.
 
     r[i, j] = d<M_j>/dd for generator direction i and measured quadrature j
@@ -366,10 +368,9 @@ def _mai_operator_route(
     psi: np.ndarray,
     p: dynamics.HamiltonianParams,
     reversal_time: float,
-    sigma2: float,
-) -> SensitivityReport:
-    """Lossless echo sensitivity of the prepared ket psi, from the evolved
-    measurement U^dag M U with U = exp(+i H reversal_time)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lossless echo response (r, cov) of the prepared ket psi, from the
+    evolved measurement U^dag M U with U = exp(+i H reversal_time)."""
     psi_rev = dynamics.propagate(psi, p, -reversal_time)  # state in the reversed frame
     state_rev = QuantumState.from_ket(psi_rev, check_tail=False)
 
@@ -381,70 +382,75 @@ def _mai_operator_route(
     g_vecs = quadratures(psi)
     m_vecs = dynamics.propagate(quadratures(psi_rev), p, reversal_time)
     r = 2.0 * (g_vecs.conj().T @ m_vecs).imag
-    return _readout_optimum(r, quadrature_covariance(state_rev), sigma2)
+    return r, quadrature_covariance(state_rev)
 
 
-def _quadrature_means(rho: np.ndarray) -> np.ndarray:
-    dim = rho.shape[0]
-    sq1 = np.sqrt(np.arange(1, dim, dtype=float))
-    ma = complex(np.sum(sq1 * np.diagonal(rho, offset=-1)))
-    return np.array([math.sqrt(2.0) * ma.real, math.sqrt(2.0) * ma.imag])
+def _readout_block(dim: int) -> np.ndarray:
+    """vec(A^T) of the readouts A = a, a^2, a^dag a, as the columns of a block."""
+    a = annihilation(dim).matrix
+    return np.stack([m.T.reshape(-1) for m in (a, a @ a, a.conj().T @ a)], axis=1)
 
 
 def _mai_derivative_route(
-    rho: np.ndarray,
+    rhos: list[np.ndarray],
     p: dynamics.HamiltonianParams,
-    reversal_time: float,
+    reversal_times: list[float],
     loss: dynamics.LossParams,
-    sigma2: float,
-) -> SensitivityReport:
-    """Echo sensitivity of the prepared density matrix rho, lossy or not.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Echo responses (r, cov) of prepared density matrices, lossy or not.
 
-    The derivative of D(d) rho D(d)^dag at d = 0 is -i[G, rho], and the echo
-    map is linear, so the columns (rho, -i[X, rho], -i[P, rho]) evolve once
-    under -H with the same dissipator: the first gives the readout
-    covariance, the other two the exact response d<M_j>/dd.
+    rhos[k] is reversed for reversal_times[k] under -H with the same
+    dissipator, a linear map Phi. The derivative of D(d) rho D(d)^dag at
+    d = 0 is -i[G, rho], so the response is d<a>/dd = Tr[a Phi(-i[G, rho])].
+    Both this and the readout moments are read in the Heisenberg picture,
+    Tr[A Phi(C)] = (exp(L_rev^T tau) vec(A^T))^T vec(C): the readouts a, a^2
+    and a^dag a evolve backwards once, chained through the sorted distinct
+    reversal times, and each state then needs only dim x dim algebra.
     """
-    dim = rho.shape[0]
-    lv_rev = dynamics.liouvillian(dim, p, loss, reverse=True)
-    x, p_op = position(dim).matrix, momentum(dim).matrix
-    columns = [rho, -1j * (x @ rho - rho @ x), -1j * (p_op @ rho - rho @ p_op)]
-    block = np.stack([c.reshape(-1) for c in columns], axis=1)
-    evolved = dynamics._lindblad_apply(lv_rev, block, reversal_time)
-    rho_rev = evolved[:, 0].reshape(dim, dim)
-    rho_rev = (rho_rev + rho_rev.conj().T) / 2.0
-    state_rev = QuantumState.from_density_matrix(
-        rho_rev / np.trace(rho_rev).real, check_tail=False
+    dim = rhos[0].shape[0]
+    taus = sorted(set(reversal_times))
+    evolved = dynamics.lindblad_trajectory(
+        _readout_block(dim), p, loss, taus, reverse=True, adjoint=True
     )
-    r = np.stack([_quadrature_means(evolved[:, k].reshape(dim, dim)) for k in (1, 2)])
-    return _readout_optimum(r, quadrature_covariance(state_rev), sigma2)
+    readouts = dict(zip(taus, evolved))
+    x, p_op = position(dim).matrix, momentum(dim).matrix
+    responses = []
+    for rho, tau in zip(rhos, reversal_times):
+        w = readouts[tau]
+        ma, ma2, mn = rho.reshape(-1) @ w
+        kicks = np.stack([(-1j * (g @ rho - rho @ g)).reshape(-1) for g in (x, p_op)])
+        da = kicks @ w[:, 0]
+        r = math.sqrt(2.0) * np.stack([da.real, da.imag], axis=1)
+        responses.append((r, covariance_from_moments(ma, ma2, mn.real)))
+    return responses
 
 
-def echo_sensitivity(
-    state: QuantumState,
+def echo_responses(
+    states: list[QuantumState],
     p: dynamics.HamiltonianParams,
     loss: dynamics.LossParams,
-    noise: DetectionNoise | None,
-    reversal_time: float,
+    reversal_times: list[float],
     method: str = "auto",
-) -> SensitivityReport:
-    """Echo-protocol sensitivity of a prepared state.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Echo responses (r, cov) of prepared states, for readout_optimum.
 
-    The state is displaced, evolves for reversal_time under -H with the loss
-    dissipator, and a linear quadrature is measured. Both routes are exact:
-    method "operator" uses the evolved measurement (pure state, lossless
-    only), "derivative" the propagated linear response -i[G, rho]; "auto"
-    takes the operator route for a pure state without loss.
+    Each state is displaced, evolves for its reversal time under -H with the
+    loss dissipator, and a linear quadrature is measured. Both routes are
+    exact: method "operator" uses the evolved measurement (pure states,
+    lossless only), "derivative" the Heisenberg-picture readouts, evolved
+    once for all states; "auto" takes the operator route when every state is
+    pure and there is no loss.
     """
     if method == "auto":
-        method = "operator" if loss.gamma == 0.0 and state.is_pure else "derivative"
-    sigma2 = noise.sigma2 if noise is not None else 0.0
+        lossless_pure = loss.gamma == 0.0 and all(s.is_pure for s in states)
+        method = "operator" if lossless_pure else "derivative"
     if method == "operator":
         if loss.gamma != 0.0:
             raise ValueError("operator route is only valid for lossless evolution")
-        return _mai_operator_route(state.ket, p, reversal_time, sigma2)
+        return [_mai_operator_route(s.ket, p, tau) for s, tau in zip(states, reversal_times)]
     if method == "derivative":
-        return _mai_derivative_route(state.density_matrix(), p, reversal_time, loss, sigma2)
+        rhos = [s.density_matrix() for s in states]
+        return _mai_derivative_route(rhos, p, reversal_times, loss)
     raise ValueError(f"unknown echo method {method!r}")
 
 
@@ -460,15 +466,17 @@ def mai_sensitivity(
     """Echo-protocol sensitivity for the state prepared from the vacuum.
 
     The state evolves for time t under (p, loss) and then goes through
-    echo_sensitivity with reversal_time (default t) and method. dim=None
+    echo_responses with reversal_time (default t) and method. dim=None
     converges the Fock dimension.
     """
     loss = loss if loss is not None else dynamics.LossParams(0.0)
     t_rev = reversal_time if reversal_time is not None else t
+    sigma2 = noise.sigma2 if noise is not None else 0.0
 
     def run(d: int) -> SensitivityReport:
         state = dynamics.evolve_vacuum(d, p, loss, t)
-        return echo_sensitivity(state, p, loss, noise, t_rev, method)
+        ((r, cov),) = echo_responses([state], p, loss, [t_rev], method)
+        return readout_optimum(r, cov, sigma2)
 
     if dim is not None:
         return run(check_dim(dim))

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
 from kerrsense import dynamics, fock, gaussian
 from kerrsense.config import default_config
@@ -245,6 +246,37 @@ def test_liouvillian_matches_dense_generator():
     )
     got_rev = (lv_rev @ rho.reshape(-1)).reshape(dim, dim)
     np.testing.assert_allclose(got_rev, expected_rev, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse, transposed", [(False, False), (True, False), (True, True)])
+def test_lindblad_parity_blocks(reverse, transposed):
+    dim = 16
+    p = HamiltonianParams(delta=0.3, epsilon=0.8, kerr=0.5)
+    loss = LossParams(0.25)
+    lv = liouvillian(dim, p, loss, reverse=reverse)
+    lv = lv.T.tocsr() if transposed else lv
+    # no entry couples rho_ij with i + j even to one with i + j odd
+    parity = np.add.outer(np.arange(dim), np.arange(dim)).reshape(-1) % 2
+    rows, cols = lv.nonzero()
+    assert np.all(parity[rows] == parity[cols])
+    even, odd = dynamics.liouvillian_blocks(dim, p, loss, reverse, transposed)
+    assert even.shape == odd.shape == (dim * dim // 2, dim * dim // 2)
+
+    rho = random_density(dim, seed=5).reshape(-1)
+    assert np.any(rho[parity == 0]) and np.any(rho[parity == 1])
+    times = [0.05, 0.3, 0.35]  # three non-uniform segments
+    chained = dynamics.lindblad_trajectory(rho, p, loss, times, reverse, adjoint=transposed)
+    for t, got in zip(times, chained):
+        full = expm_multiply(lv * t, rho)
+        one_shot = dynamics.lindblad_trajectory(rho, p, loss, [t], reverse, transposed)[0]
+        np.testing.assert_allclose(one_shot, full, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, one_shot, rtol=0, atol=1e-12)
+
+
+def test_lindblad_trajectory_rejects_unsorted_times():
+    rho = QuantumState.vacuum(8).density_matrix().reshape(-1)
+    with pytest.raises(ValueError):
+        dynamics.lindblad_trajectory(rho, HamiltonianParams(), LossParams(0.1), [0.2, 0.1])
 
 
 def test_lindblad_free_decay():

@@ -139,19 +139,40 @@ def test_evaluate_point_flags():
 
 
 def test_lossy_point_propagates_four_lindblad_columns(monkeypatch):
-    # one forward column for the prepared state, then rho, -i[X, rho] and
-    # -i[P, rho] backwards once for the echo
+    # the prepared state forwards, then the echo readouts a, a^2 and a^dag a
+    # backwards once, each column on one half-size parity block
+    dim = 32
     apply = dynamics._lindblad_apply
-    columns = []
+    calls = []
 
     def counting(lv, block, t, *args, **kwargs):
-        columns.append(block.shape[1] if block.ndim == 2 else 1)
+        calls.append((block.shape[0], block.shape[1] if block.ndim == 2 else 1))
         return apply(lv, block, t, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_lindblad_apply", counting)
-    row = evaluate_point(0.0, 2.0, 1.0, 0.1, 0.4, dim=32)
+    row = evaluate_point(0.0, 2.0, 1.0, 0.1, 0.4, dim=dim)
     assert row.status == "ok" and row.chi2inv_mai > 0.0
-    assert columns == [1, 3]
+    assert sum(columns for _, columns in calls) == 4
+    assert all(rows == dim * dim // 2 for rows, _ in calls)
+
+
+def test_lossy_group_work_is_one_pass(monkeypatch):
+    # sum of columns x block rows x t: one forward column and three readout
+    # columns, each on dim^2 / 2 rows, chained once up to the largest Kt
+    dim = 32
+    apply = dynamics._lindblad_apply
+    work = []
+
+    def counting(lv, block, t, *args, **kwargs):
+        work.append((block.shape[1] if block.ndim == 2 else 1) * block.shape[0] * t)
+        return apply(lv, block, t, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_lindblad_apply", counting)
+    kt = (0.3, 0.0, 0.45, 0.1, 0.3)
+    cfg = ExperimentConfig("custom", (0.2,), (1.0,), (1.0,), (0.1,), kt, (0.0, 0.5))
+    res = run_custom(cfg, dim=dim)
+    assert len(res.rows) == len(kt) * 2
+    assert sum(work) == pytest.approx(2 * dim * dim * max(kt), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -344,38 +365,64 @@ GROUP_RUNNERS = {
 }
 
 
-@pytest.mark.parametrize(
-    "experiment, calls_per_group",
-    # the probe plus the group's other points: 3 (kt, sigma2) pairs for
-    # custom, the other kt for fig3 and loss-robustness
-    [("custom", 4), ("fig3", 2), ("loss-robustness", 2)],
-)
-def test_group_probe_row_is_reused(monkeypatch, experiment, calls_per_group):
-    # auto dim from 16 converges at 32 for this weakly squeezed lossy point
+@pytest.mark.parametrize("experiment", sorted(GROUP_RUNNERS))
+def test_lossy_group_is_one_pass_per_dim(monkeypatch, experiment):
+    # auto dim from 16 converges at 32 or 64 for these weakly squeezed groups;
+    # the Kt axis is unsorted and non-uniform, with 0 and a repeated value
     monkeypatch.setattr(harness, "_initial_dim", lambda *args: 16)
-    cfg = ExperimentConfig(
-        experiment, (0.0,), (0.5,), (1.0,), (0.1, 0.2), (0.1, 0.2), (0.0, 0.5)
+    kt = (0.2, 0.0, 0.35, 0.2, 0.1)
+    cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.1, 0.2), kt, (0.0, 0.5))
+    flags = {"with_k2": True} if experiment == "custom" else {}
+    sigma2s = cfg.sigma2 if experiment == "custom" else cfg.sigma2[:1]
+    passes = []
+    group_pass = harness._group_pass
+
+    def recording(*args, **kwargs):
+        rows = group_pass(*args, **kwargs)
+        passes.append((args[3], args[6], rows))
+        return rows
+
+    monkeypatch.setattr(harness, "_group_pass", recording)
+    result = GROUP_RUNNERS[experiment](cfg)
+    for gamma in cfg.gamma:
+        dims = [d for g, d, _ in passes if g == gamma]
+        group_dim = evaluate_point(0.0, 0.5, 1.0, gamma, max(kt), cfg.sigma2[0], **flags).dim
+        # one pass per dim tried, ending at the dim the probe point accepts
+        assert dims == [16 * 2**i for i in range(len(dims))]
+        assert len(dims) >= 2 and dims[-1] == group_dim
+        rows = [rows for g, d, rows in passes if g == gamma and d == group_dim][0]
+        assert [(r.kt, r.sigma2) for r in rows] == [(k, s) for k in kt for s in sigma2s]
+        if experiment != "loss-robustness":
+            emitted = [r for r in result.rows if r.gamma == gamma]
+            assert rows_to_csv(emitted) == rows_to_csv(rows)
+        for row in rows:
+            ref = evaluate_point(0.0, 0.5, 1.0, gamma, row.kt, row.sigma2, dim=group_dim, **flags)
+            assert row.dim == ref.dim and row.status == ref.status
+            np.testing.assert_allclose(
+                harness._row_figures(row), harness._row_figures(ref), rtol=1e-12
+            )
+
+
+def test_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # byte-identical CSV for any --threads, lossless points and lossy groups alike
+    no_snapshots = lambda cfg, **kwargs: run_fig3(cfg, snapshots=False, **kwargs)  # noqa: E731
+    monkeypatch.setitem(harness._RUNNERS, "fig3", no_snapshots)
+    custom = tmp_path / "custom.cfg"
+    custom.write_text(
+        "experiment = custom\ndelta = 0, 0.5\nepsilon = 0.5\nkerr = 1\n"
+        "gamma = 0, 0.1\nkt = 0.3, 0, 0.15\nsigma2 = 0, 0.5\n"
     )
-    gammas = []
-    evaluate = harness.evaluate_point
-
-    def counting(*args, **kwargs):
-        gammas.append(args[3])
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "evaluate_point", counting)
-    runner = GROUP_RUNNERS[experiment]
-    reused = rows_to_csv(runner(cfg).rows)
-    assert [gammas.count(g) for g in cfg.gamma] == [calls_per_group] * 2
-
-    group_dim = harness._group_dim
-    monkeypatch.setattr(
-        harness, "_group_dim", lambda *a, **k: (group_dim(*a, **k)[0], None)
-    )
-    gammas.clear()
-    recomputed = rows_to_csv(runner(cfg).rows)
-    assert [gammas.count(g) for g in cfg.gamma] == [calls_per_group + 1] * 2
-    assert recomputed == reused
+    fig3 = tmp_path / "fig3.cfg"
+    fig3.write_text("experiment = fig3\ngamma = 0, 0.1\nkt = 0, 0.2, 0.4\n")
+    for name, cfg in (("custom", custom), ("fig3", fig3)):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}.csv"
+            argv = [name, "--config", str(cfg), "--dim", "32", "--threads", threads]
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) > 6
 
 
 def test_run_wigner_single_snapshot():

@@ -300,6 +300,33 @@ def test_mai_operator_and_derivative_routes_agree(kt, sigma2):
     assert abs(op.theta_opt - dv.theta_opt) % math.pi < 1e-9
 
 
+@pytest.mark.parametrize("reversal_time", [0.5, 0.35])
+def test_lossy_echo_matches_dense_schrodinger_oracle(reversal_time):
+    # the Heisenberg route against the dense exp(L tau) applied to
+    # (rho, -i[X, rho], -i[P, rho]) in the Schrodinger picture
+    dim, t = 16, 0.5
+    p = HamiltonianParams(delta=0.4, epsilon=0.3, kerr=0.5)
+    loss = LossParams(0.3)
+    vacuum = QuantumState.vacuum(dim).density_matrix().reshape(-1)
+    forward = scipy.linalg.expm(dynamics.liouvillian(dim, p, loss).toarray() * t)
+    rho = (forward @ vacuum).reshape(dim, dim)
+    rho = (rho + rho.conj().T) / 2.0
+    x, p_op = fock.position(dim).matrix, fock.momentum(dim).matrix
+    columns = [rho, -1j * (x @ rho - rho @ x), -1j * (p_op @ rho - rho @ p_op)]
+    echo = scipy.linalg.expm(
+        dynamics.liouvillian(dim, p, loss, reverse=True).toarray() * reversal_time
+    )
+    evolved = [(echo @ c.reshape(-1)).reshape(dim, dim) for c in columns]
+    cov = fock.quadrature_covariance(QuantumState.from_density_matrix(evolved[0]))
+    a = fock.annihilation(dim).matrix
+    da = np.array([np.trace(a @ e) for e in evolved[1:]])
+    r = math.sqrt(2.0) * np.stack([da.real, da.imag], axis=1)
+    expected = metrology.readout_optimum(r, cov, 0.0)
+    got = mai_sensitivity(p, t, loss, reversal_time=reversal_time, dim=dim)
+    assert abs(got.value - expected.value) < 1e-12 * expected.value
+    assert abs(got.theta_opt - expected.theta_opt) % math.pi < 1e-9
+
+
 def test_readout_optimum_is_the_best_angle():
     rng = np.random.default_rng(7)
     theta = np.arange(4096) * (math.pi / 4096)
@@ -310,7 +337,7 @@ def test_readout_optimum_is_the_best_angle():
         angle = rng.uniform(0.0, math.pi)
         rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         cov = rot @ np.diag([rng.uniform(0.25, 1.0), rng.uniform(0.5, 2.0)]) @ rot.T
-        rep = metrology._readout_optimum(r, cov, sigma2)
+        rep = metrology.readout_optimum(r, cov, sigma2)
 
         def quotient(vecs):
             return np.sum((r @ vecs) ** 2, axis=0) / (np.sum(vecs * (cov @ vecs), axis=0) + sigma2)
