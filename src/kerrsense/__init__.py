@@ -24,7 +24,6 @@ from .config import (
 )
 from .dynamics import (
     HamiltonianParams,
-    IntegrationError,
     LossParams,
     NoInteriorMinimumError,
     evolve_lindblad,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import harness
 from .config import ConfigError, default_config, parse_config
-from .dynamics import IntegrationError, NoInteriorMinimumError
+from .dynamics import NoInteriorMinimumError
 from .fock import TruncationError
 
 _EXPERIMENT_HELP = {
@@ -51,7 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--dim", default="auto", help="Fock dimension: positive integer or 'auto'"
         )
-        sp.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="worker threads for the fig1 optima, the fig2 points and the scaling epsilons",
+        )
         sp.add_argument(
             "--with-k3",
             action="store_true",
@@ -107,7 +112,6 @@ def main(argv=None) -> int:
     except (
         TruncationError,
         NoInteriorMinimumError,
-        IntegrationError,
         harness.ScalingFitError,
         harness.SensitivityOrderingError,
     ) as exc:

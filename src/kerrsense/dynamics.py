@@ -14,8 +14,7 @@ Dissipative evolution under the single jump operator sqrt(gamma) * a is the
 exponential of the vectorised Liouvillian, applied matrix-free.  The
 Liouvillian keeps the same symmetry: it never mixes entries rho_ij whose
 (i + j) parities differ, so it splits into two half-size blocks, and a time
-grid is one chained propagation through its sorted times.  An adaptive RK45
-route on the full vec(rho) is available as an independent alternative.
+grid is one chained propagation through its sorted times.
 """
 from __future__ import annotations
 
@@ -43,20 +42,10 @@ from .fock import (
 )
 
 EVOLUTION_TAIL_ERROR = 1e-3
-RK45_RTOL = 1e-8
-RK45_ATOL = 1e-10
 
 
 class NoInteriorMinimumError(RuntimeError):
     """V_min(t) has no interior minimum on the scanned window (e.g. kerr=0)."""
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive integration failed; carries the time reached."""
-
-    def __init__(self, message: str, t_reached: float):
-        super().__init__(message)
-        self.t_reached = t_reached
 
 
 @dataclass(frozen=True)
@@ -198,41 +187,11 @@ def liouvillian(dim: int, p: HamiltonianParams, loss: LossParams, reverse: bool 
     return lv.tocsr()
 
 
-def _lindblad_apply(
-    lv,
-    block: np.ndarray,
-    t: float,
-    method: str = "expm",
-) -> np.ndarray:
+def _lindblad_apply(lv, block: np.ndarray, t: float) -> np.ndarray:
     """Apply exp(L t) to one or more vectorised operators (columns of block)."""
     if t == 0.0:
         return block.copy()
-    if method == "expm":
-        return expm_multiply(lv * t, block)
-    if method == "rk45":
-        # imported here: scipy.integrate adds ~0.2 s to every import of kerrsense
-        from scipy.integrate import solve_ivp
-
-        shape = block.shape
-        flat = block.reshape(block.shape[0], -1)
-        cols = []
-        for j in range(flat.shape[1]):
-            sol = solve_ivp(
-                lambda _t, y: lv @ y,
-                (0.0, t),
-                flat[:, j],
-                method="RK45",
-                rtol=RK45_RTOL,
-                atol=RK45_ATOL,
-                dense_output=False,
-            )
-            if not sol.success:
-                raise IntegrationError(
-                    f"RK45 Lindblad integration failed: {sol.message}", float(sol.t[-1])
-                )
-            cols.append(sol.y[:, -1])
-        return np.stack(cols, axis=1).reshape(shape)
-    raise ValueError(f"unknown Lindblad method {method!r}")
+    return expm_multiply(lv * t, block)
 
 
 @lru_cache(maxsize=4)
@@ -304,10 +263,6 @@ def lindblad_trajectory(
     return out.reshape((len(times),) + block.shape)
 
 
-def _lindblad_state(vec: np.ndarray, dim: int) -> QuantumState:
-    return _check_evolution_tail(QuantumState.from_density_matrix(vec.reshape(dim, dim)))
-
-
 def evolve_lindblad_grid(
     state: QuantumState,
     p: HamiltonianParams,
@@ -319,7 +274,11 @@ def evolve_lindblad_grid(
     pass; every result gets the checks of evolve_lindblad."""
     rho0 = state.density_matrix().reshape(-1)
     evolved = lindblad_trajectory(rho0, p, loss, times, reverse=reverse)
-    return [_lindblad_state(vec, state.dim) for vec in evolved]
+    shape = (state.dim, state.dim)
+    return [
+        _check_evolution_tail(QuantumState.from_density_matrix(vec.reshape(shape)))
+        for vec in evolved
+    ]
 
 
 def evolve_lindblad(
@@ -328,29 +287,27 @@ def evolve_lindblad(
     loss: LossParams,
     t: float,
     reverse: bool = False,
-    method: str = "auto",
 ) -> QuantumState:
     """Evolve under H (or -H if reverse) with the jump operator sqrt(gamma) a.
 
     Returns a mixed-kind state; gamma = 0 reproduces the unitary channel.
-    Method "expm" (the default) propagates on the parity blocks; "rk45"
-    integrates the full vec(rho) as an independent reference.
     """
     if t < 0:
         raise ValueError("Lindblad evolution requires t >= 0; use reverse=True for the echo")
-    if method in ("auto", "expm"):
-        return evolve_lindblad_grid(state, p, loss, [t], reverse=reverse)[0]
-    lv = liouvillian(state.dim, p, loss, reverse=reverse)
-    rho0 = state.density_matrix().reshape(-1)
-    return _lindblad_state(_lindblad_apply(lv, rho0, t, method=method), state.dim)
+    return evolve_lindblad_grid(state, p, loss, [t], reverse=reverse)[0]
 
 
-def evolve_vacuum(dim: int, p: HamiltonianParams, loss: LossParams, t: float) -> QuantumState:
-    """The vacuum evolved for time t: a ket when gamma = 0, else a density matrix."""
-    vacuum = QuantumState.vacuum(dim)
-    if loss.gamma == 0.0:
-        return evolve_unitary(vacuum, p, t)
-    return evolve_lindblad(vacuum, p, loss, t)
+def evolve_vacuum(
+    dim: int, p: HamiltonianParams, loss: LossParams, times
+) -> list[QuantumState]:
+    """The vacuum evolved to each of the non-decreasing times: kets from one
+    even-sector GEMM when gamma = 0, else density matrices from one chained
+    Lindblad pass.  Every state gets the checks of evolve_unitary or
+    evolve_lindblad."""
+    if loss.gamma > 0.0:
+        return evolve_lindblad_grid(QuantumState.vacuum(dim), p, loss, times)
+    kets = vacuum_kets(p, times, dim)
+    return [_check_evolution_tail(QuantumState.from_ket(ket)) for ket in kets.T]
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +351,12 @@ class VacuumTrajectory:
     dim: int
 
 
-def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajectory:
-    """Evolve the vacuum to every time of t_grid at once.
+def vacuum_kets(p: HamiltonianParams, t_grid, dim: int) -> np.ndarray:
+    """exp(-i H t)|0> for every time of t_grid, as the columns of a block.
 
-    The kets come from one real GEMM in the even sector,
-    V (cos(w t^T) c0 | -sin(w t^T) c0) with c0 = V[0] the vacuum's
-    eigenbasis components; the figures come from vectorised ladder moments.
+    One real GEMM in the even sector, V (cos(w t^T) c0 | -sin(w t^T) c0)
+    with c0 = V[0] the vacuum's eigenbasis components; every column gets the
+    checks of from_ket and is normalised.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -411,18 +368,24 @@ def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajector
     half = evecs @ np.concatenate([np.cos(wt) * c0, -np.sin(wt) * c0], axis=1)
     kets = np.zeros((dim, t_grid.size), dtype=complex)
     kets[0::2] = half[:, : t_grid.size] + 1j * half[:, t_grid.size :]
-    kets = normalized_kets(kets)
+    return normalized_kets(kets)
+
+
+def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajectory:
+    """Evolve the vacuum to every time of t_grid at once (vacuum_kets); the
+    figures come from vectorised ladder moments."""
+    kets = vacuum_kets(p, t_grid, dim)
     ma, ma2, mn = ket_ladder_moments(kets)
     v_min, theta, v_max = _quadrature_extremes(covariance_from_moments(ma, ma2, mn))
     return VacuumTrajectory(
-        times=t_grid,
+        times=np.asarray(t_grid, dtype=float),
         kets=kets,
         n_mean=mn,
         v_min=v_min,
         theta_opt=theta,
         f_q=4.0 * v_max,
         tail=tail_populations(np.abs(kets) ** 2),
-        dim=dim,
+        dim=kets.shape[0],
     )
 
 

@@ -7,13 +7,13 @@ computations are deterministic: identical configs produce byte-identical
 files.
 
 Dimension policy: with dim=None the Fock dimension is doubled until every
-reported figure is stable to AUTO_DIM_RTOL.  Pure-state rows converge
-individually (eigendecompositions are cached per Hamiltonian).  A dissipative
-parameter group (one delta, epsilon, kerr, gamma over the Kt axis) is one
-pass per dimension: the vacuum evolves once through the group's times and
-the echo readouts once backwards.  Its dimension is doubled over whole passes
-until the row at the largest Kt, where the state support is widest, is
-stable.
+reported figure is stable to AUTO_DIM_RTOL.  A parameter group (one delta,
+epsilon, kerr, gamma over the Kt and sigma2 axes), lossless or lossy, is one
+pass per dimension: the vacuum evolves to all of the group's times at once
+(one GEMM without loss, one chained Lindblad pass with it), and under loss
+the echo readouts evolve once backwards.  Its dimension is doubled over whole
+passes until the row at the largest Kt, where the state support is widest, is
+stable.  A single point is the one-point group.
 
 Time convention: the ``kt`` grid value means K*t when kerr > 0 and the bare
 evolution time when kerr = 0, so ideal-squeezing reference rows remain
@@ -257,15 +257,9 @@ def _point_row(
     kt: float,
     sigma2: float,
     dim: int,
-    with_mai: bool = True,
     **flags,
 ) -> SweepRow:
-    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    t = _time_of(kerr, kt)
-    loss = LossParams(gamma)
-    state = dynamics.evolve_vacuum(dim, p, loss, t)
-    echo = metrology.echo_responses([state], p, loss, [t])[0] if with_mai else None
-    (row,) = _state_rows(delta, epsilon, kerr, gamma, kt, state, echo, [sigma2], **flags)
+    (row,) = _group_pass(delta, epsilon, kerr, gamma, [kt], [sigma2], dim, **flags)
     return row
 
 
@@ -296,16 +290,7 @@ def evaluate_point(
     """Evaluate one grid point; dim=None doubles until figures stabilise."""
     if dim is not None:
         return _point_row(delta, epsilon, kerr, gamma, kt, sigma2, dim, **flags)
-    rows: dict[int, SweepRow] = {}
-
-    def monitored(d: int) -> np.ndarray:
-        row = _point_row(delta, epsilon, kerr, gamma, kt, sigma2, d, **flags)
-        rows[d] = row
-        return _row_figures(row)
-
-    start = _initial_dim(delta, epsilon, kerr, _time_of(kerr, kt))
-    _, used = fock.converge_dim(monitored, start_dim=start, rel_tol=AUTO_DIM_RTOL)
-    return rows[used]
+    return _group_dim(delta, epsilon, kerr, gamma, [kt], [sigma2], **flags)[1][0]
 
 
 def _group_pass(
@@ -319,17 +304,18 @@ def _group_pass(
     with_mai: bool = True,
     **flags,
 ) -> list[SweepRow]:
-    """The rows kt_values x sigma2s (sigma2 fastest) of a lossy group at dim.
+    """The rows kt_values x sigma2s (sigma2 fastest) of a group at dim.
 
-    The vacuum evolves forwards once, chained through the group's sorted
-    distinct times, and the echo readouts evolve backwards once through the
-    same times (metrology.echo_responses).
+    The vacuum evolves to the group's sorted distinct times at once
+    (dynamics.evolve_vacuum), and the echo responses of all its states are
+    one call (metrology.echo_responses): under loss the readouts evolve
+    backwards once through the same times.
     """
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
     loss = LossParams(gamma)
     kts = sorted(set(kt_values))
     times = [_time_of(kerr, kt) for kt in kts]
-    states = dynamics.evolve_lindblad_grid(QuantumState.vacuum(dim), p, loss, times)
+    states = dynamics.evolve_vacuum(dim, p, loss, times)
     echoes = metrology.echo_responses(states, p, loss, times) if with_mai else [None] * len(kts)
     by_kt = {
         kt: _state_rows(delta, epsilon, kerr, gamma, kt, state, echo, sigma2s, **flags)
@@ -347,11 +333,10 @@ def _group_dim(
     sigma2s,
     **flags,
 ) -> tuple[int, list[SweepRow]]:
-    """Converged dimension of a lossy group and the group's rows at it.
+    """Converged dimension of a group and the group's rows at it.
 
     Doubles over whole group passes, monitoring the (max Kt, sigma2s[0]) row,
-    where the state support is widest, from the start dimension that
-    evaluate_point would use for that row.
+    where the state support is widest, from that row's _initial_dim.
     """
     kt_ref = max(kt_values)
     i_ref = list(kt_values).index(kt_ref) * len(sigma2s)
@@ -374,26 +359,16 @@ def _group_rows(
     kt_values,
     sigma2s,
     dim: int | None,
-    threads: int,
     **flags,
 ) -> list[SweepRow]:
-    """The rows kt_values x sigma2s (sigma2 fastest) of one parameter group.
-
-    A lossy group of several points is one pass per dimension, and its rows
-    share one dimension.  Lossless points, and a lossy group of one point,
-    are independent evaluate_point calls fanned out to threads, each
-    converging its own dimension when dim is None.
-    """
-    points = [(kt, s2) for kt in kt_values for s2 in sigma2s]
-    if gamma > 0.0 and len(points) > 1:
-        if dim is None:
-            return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, **flags)[1]
-        return _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
-
-    def point(ps: tuple[float, float]) -> SweepRow:
-        return evaluate_point(delta, epsilon, kerr, gamma, *ps, dim=dim, **flags)
-
-    return _map(point, points, threads)
+    """The rows kt_values x sigma2s (sigma2 fastest) of one parameter group,
+    one pass per dimension; with dim=None the rows share the converged one."""
+    if len(kt_values) * len(sigma2s) == 1:  # evaluate_point runs the same one-point pass
+        (kt,), (sigma2,) = kt_values, sigma2s
+        return [evaluate_point(delta, epsilon, kerr, gamma, kt, sigma2, dim=dim, **flags)]
+    if dim is None:
+        return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, **flags)[1]
+    return _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
 
 
 def _map(fn, items, threads: int) -> list:
@@ -520,7 +495,7 @@ def _fig3_snapshots(
     loss = LossParams(gamma)
     t = _time_of(kerr, SNAPSHOT_KT)
 
-    prepared = dynamics.evolve_lindblad(QuantumState.vacuum(dim), p, loss, t)
+    (prepared,) = dynamics.evolve_vacuum(dim, p, loss, [t])
     report = metrology.linear_sensitivity(prepared)
     alpha = -1j * SNAPSHOT_DISPLACEMENT * cmath.exp(1j * report.phi_opt) / math.sqrt(2.0)
     d_op = fock.displacement(dim, alpha).matrix
@@ -549,10 +524,10 @@ def _fig3_snapshots(
 def run_fig3(
     cfg: ExperimentConfig,
     dim: int | None = None,
-    threads: int = 1,
     with_k3: bool = False,
     snapshot_grid: PhaseGrid = SNAPSHOT_GRID,
     snapshots: bool = True,
+    **_ignored,
 ) -> SweepResult:
     """Sensitivities vs Kt per loss rate, plus echo-protocol Wigner snapshots.
 
@@ -568,9 +543,7 @@ def run_fig3(
     rows: list[SweepRow] = []
     snapshot_dim = dim
     for gamma in cfg.gamma:
-        group_rows = _group_rows(
-            delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim, threads, **flags
-        )
+        group_rows = _group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim, **flags)
         if gamma > 0.0 and gamma == SNAPSHOT_GAMMA * kerr:
             snapshot_dim = group_rows[0].dim
         rows.extend(group_rows)
@@ -684,57 +657,42 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> float | None:
     return float(vertex)
 
 
-def run_loss_robustness(
-    cfg: ExperimentConfig, dim: int | None = None, threads: int = 1, **_ignored
-) -> SweepResult:
+def run_loss_robustness(cfg: ExperimentConfig, dim: int | None = None, **_ignored) -> SweepResult:
     """Per-gamma maxima over Kt of chi^-2, chi^-2_MAI, and F_Q.
 
     Each quantity is maximised on the kt grid and refined once through the
-    parabola of the bracketing points.  The emitted kt column and the v_min/N
-    entries refer to the echo optimum; chi2inv_1 and f_q columns carry their
-    own maxima.
+    parabola of the bracketing points; the vertices of all three are one
+    more pass at the group's dimension.  The emitted kt column and the
+    v_min/N entries refer to the echo optimum; chi2inv_1 and f_q columns
+    carry their own maxima.
     """
     delta = cfg.delta[0]
     epsilon = cfg.epsilon[0]
     kerr = cfg.kerr[0]
     sigma2 = cfg.sigma2[0]
     kt_grid = np.array(cfg.kt)
+    figures = ("chi2inv_1", "f_q", "chi2inv_mai")
     rows: list[SweepRow] = []
     for gamma in cfg.gamma:
-        group_dim = dim
-        if gamma == 0.0 and dim is None:  # lossless rows share the largest Kt's dim
-            group_dim = evaluate_point(delta, epsilon, kerr, 0.0, max(cfg.kt), sigma2).dim
-        grid_rows = _group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], group_dim, threads)
+        grid_rows = _group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim)
         group_dim = grid_rows[0].dim
-
-        def refined_max(getter, **flags) -> tuple[float, float, SweepRow]:
-            values = np.array(
-                [np.nan if getter(r) is None else getter(r) for r in grid_rows]
-            )
-            i_best = int(np.nanargmax(values))
-            best_val = float(values[i_best])
-            best_kt = float(kt_grid[i_best])
-            best_row = grid_rows[i_best]
-            if 0 < i_best < len(grid_rows) - 1:
-                vertex = _parabolic_vertex(kt_grid, values, i_best)
-                if vertex is not None:
-                    row_v = evaluate_point(
-                        delta, epsilon, kerr, gamma, vertex, sigma2, dim=group_dim, **flags
-                    )
-                    val_v = getter(row_v)
-                    if val_v is not None and val_v > best_val:
-                        best_val, best_kt, best_row = float(val_v), vertex, row_v
-            return best_val, best_kt, best_row
-
-        chi_max, _, _ = refined_max(
-            lambda r: r.chi2inv_1, with_qfi=False, with_mai=False
-        )
-        fq_max, _, _ = refined_max(
-            lambda r: r.f_q, with_linear=False, with_mai=False
-        )
-        mai_max, mai_kt, mai_row = refined_max(
-            lambda r: r.chi2inv_mai, with_linear=False, with_qfi=False
-        )
+        best: dict[str, tuple[float, SweepRow]] = {}  # figure -> (kt, row)
+        vertices: dict[str, float] = {}
+        for name in figures:
+            values = np.array([getattr(r, name) for r in grid_rows], dtype=float)
+            i = int(np.nanargmax(values))
+            best[name] = (float(kt_grid[i]), grid_rows[i])
+            vertex = _parabolic_vertex(kt_grid, values, i) if 0 < i < len(values) - 1 else None
+            if vertex is not None:
+                vertices[name] = vertex
+        if vertices:
+            kts = sorted(set(vertices.values()))
+            passed = _group_pass(delta, epsilon, kerr, gamma, kts, [sigma2], group_dim)
+            at_vertex = dict(zip(kts, passed))
+            for name, vertex in vertices.items():
+                if getattr(at_vertex[vertex], name) > getattr(best[name][1], name):
+                    best[name] = (vertex, at_vertex[vertex])
+        mai_kt, mai_row = best["chi2inv_mai"]
         rows.append(
             SweepRow(
                 delta=delta,
@@ -745,9 +703,9 @@ def run_loss_robustness(
                 dim=group_dim,
                 n_mean=mai_row.n_mean,
                 v_min=mai_row.v_min,
-                chi2inv_1=chi_max,
-                f_q=fq_max,
-                chi2inv_mai=mai_max,
+                chi2inv_1=best["chi2inv_1"][1].chi2inv_1,
+                f_q=best["f_q"][1].f_q,
+                chi2inv_mai=mai_row.chi2inv_mai,
                 status=mai_row.status,
                 sigma2=sigma2,
             )
@@ -758,8 +716,8 @@ def run_loss_robustness(
 def run_custom(
     cfg: ExperimentConfig,
     dim: int | None = None,
-    threads: int = 1,
     with_k3: bool = False,
+    **_ignored,
 ) -> SweepResult:
     """Full cross product of the config axes; sigma2 varies fastest."""
     flags = {"with_k2": True, "with_k3": with_k3}
@@ -769,9 +727,7 @@ def run_custom(
             for kerr in cfg.kerr:
                 for gamma in cfg.gamma:
                     rows.extend(
-                        _group_rows(
-                            delta, epsilon, kerr, gamma, cfg.kt, cfg.sigma2, dim, threads, **flags
-                        )
+                        _group_rows(delta, epsilon, kerr, gamma, cfg.kt, cfg.sigma2, dim, **flags)
                     )
     return SweepResult(experiment="custom", rows=rows)
 
@@ -792,7 +748,7 @@ def run_wigner(
         probe = evaluate_point(delta, epsilon, kerr, gamma, kt, dim=None, with_mai=False)
         dim = int(probe.dim)
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    state = dynamics.evolve_vacuum(dim, p, LossParams(gamma), _time_of(kerr, kt))
+    (state,) = dynamics.evolve_vacuum(dim, p, LossParams(gamma), [_time_of(kerr, kt)])
     report = metrology.linear_sensitivity(state)
     snapshot = WignerSnapshot(
         name="state",

@@ -474,7 +474,7 @@ def mai_sensitivity(
     sigma2 = noise.sigma2 if noise is not None else 0.0
 
     def run(d: int) -> SensitivityReport:
-        state = dynamics.evolve_vacuum(d, p, loss, t)
+        (state,) = dynamics.evolve_vacuum(d, p, loss, [t])
         ((r, cov),) = echo_responses([state], p, loss, [t_rev], method)
         return readout_optimum(r, cov, sigma2)
 

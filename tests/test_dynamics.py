@@ -313,16 +313,18 @@ def test_lindblad_zero_loss_matches_unitary():
     )
 
 
-def test_lindblad_rk45_agrees_with_expm():
-    dim = 40
-    p = HamiltonianParams(epsilon=2.0, kerr=1.0)
-    loss = LossParams(0.1)
-    vac = QuantumState.vacuum(dim)
-    via_expm = evolve_lindblad(vac, p, loss, 0.25, method="expm")
-    via_rk45 = evolve_lindblad(vac, p, loss, 0.25, method="rk45")
-    np.testing.assert_allclose(
-        via_rk45.density_matrix(), via_expm.density_matrix(), atol=1e-6
-    )
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lindblad_matches_dense_expm(reverse):
+    # a mixed start state under every term of the Liouvillian, against the
+    # dense exponential of the full-space generator
+    dim, t = 16, 0.35
+    p = HamiltonianParams(delta=0.4, epsilon=0.3, kerr=0.5)
+    loss = LossParams(0.3)
+    thermal = QuantumState.thermal(dim, 0.3)
+    lv = liouvillian(dim, p, loss, reverse=reverse).toarray()
+    dense = (scipy.linalg.expm(lv * t) @ thermal.density_matrix().reshape(-1)).reshape(dim, dim)
+    got = evolve_lindblad(thermal, p, loss, t, reverse=reverse)
+    np.testing.assert_allclose(got.density_matrix(), dense, rtol=0, atol=1e-12)
 
 
 def test_lindblad_zero_time_is_identity():
@@ -352,6 +354,45 @@ def test_lindblad_lossless_echo_returns_start():
     forward = evolve_lindblad(vac, p, LossParams(0.0), 0.4)
     echoed = evolve_lindblad(forward, p, LossParams(0.0), 0.4, reverse=True)
     assert fock.state_fidelity(echoed, vac) > 1.0 - 1e-9
+
+
+EVOLVE_VACUUM_TIMES = [0.0, 0.05, 0.2, 0.2, 0.45]  # non-uniform, with 0 and a repeat
+
+
+def test_evolve_vacuum_lossless_matches_evolve_unitary():
+    dim = 48
+    p = HamiltonianParams(delta=0.5, epsilon=1.0, kerr=0.8)
+    states = dynamics.evolve_vacuum(dim, p, LossParams(0.0), EVOLVE_VACUUM_TIMES)
+    assert len(states) == len(EVOLVE_VACUUM_TIMES)
+    for t, state in zip(EVOLVE_VACUUM_TIMES, states):
+        ref = evolve_unitary(QuantumState.vacuum(dim), p, t)
+        assert state.is_pure
+        np.testing.assert_allclose(state.data, ref.data, rtol=0, atol=1e-13)
+
+
+def test_evolve_vacuum_lossy_matches_evolve_lindblad():
+    dim = 32
+    p = HamiltonianParams(delta=0.5, epsilon=1.0, kerr=0.8)
+    loss = LossParams(0.2)
+    states = dynamics.evolve_vacuum(dim, p, loss, EVOLVE_VACUUM_TIMES)
+    assert len(states) == len(EVOLVE_VACUUM_TIMES)
+    for t, state in zip(EVOLVE_VACUUM_TIMES, states):
+        ref = evolve_lindblad(QuantumState.vacuum(dim), p, loss, t)
+        assert not state.is_pure
+        np.testing.assert_allclose(
+            state.density_matrix(), ref.density_matrix(), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1], ids=["lossless", "lossy"])
+def test_evolve_vacuum_keeps_the_truncation_checks(gamma):
+    # free squeezing in 32 levels: the tail holds ~1e-6 at t = 0.2 and
+    # floods past EVOLUTION_TAIL_ERROR by t = 0.8
+    p = HamiltonianParams(epsilon=2.0)
+    with pytest.warns(TruncationWarning):
+        dynamics.evolve_vacuum(32, p, LossParams(gamma), [0.0, 0.2])
+    with pytest.warns(TruncationWarning), pytest.raises(TruncationError):
+        dynamics.evolve_vacuum(32, p, LossParams(gamma), [0.0, 0.2, 0.8])
 
 
 def test_lindblad_rejects_negative_time():

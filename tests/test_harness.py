@@ -365,25 +365,36 @@ GROUP_RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(GROUP_RUNNERS))
-def test_lossy_group_is_one_pass_per_dim(monkeypatch, experiment):
-    # auto dim from 16 converges at 32 or 64 for these weakly squeezed groups;
-    # the Kt axis is unsorted and non-uniform, with 0 and a repeated value
-    monkeypatch.setattr(harness, "_initial_dim", lambda *args: 16)
-    kt = (0.2, 0.0, 0.35, 0.2, 0.1)
-    cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.1, 0.2), kt, (0.0, 0.5))
-    flags = {"with_k2": True} if experiment == "custom" else {}
-    sigma2s = cfg.sigma2 if experiment == "custom" else cfg.sigma2[:1]
+def _recording_group_pass(monkeypatch) -> list:
+    """Record (gamma, kt_values, dim, rows) of every harness._group_pass call."""
     passes = []
     group_pass = harness._group_pass
 
     def recording(*args, **kwargs):
         rows = group_pass(*args, **kwargs)
-        passes.append((args[3], args[6], rows))
+        passes.append((args[3], tuple(args[4]), args[6], rows))
         return rows
 
     monkeypatch.setattr(harness, "_group_pass", recording)
+    return passes
+
+
+@pytest.mark.parametrize("experiment", sorted(GROUP_RUNNERS))
+def test_group_is_one_pass_per_dim(monkeypatch, experiment):
+    # auto dim from 16 converges at 32 or 64 for these weakly squeezed groups,
+    # lossless and lossy alike; the Kt axis is unsorted and non-uniform, with
+    # 0 and a repeated value, and from Kt 0.35 on the lossless echo beats the
+    # linear readout, as the fig3 ordering check requires
+    monkeypatch.setattr(harness, "_initial_dim", lambda *args: 16)
+    kt = (0.5, 0.0, 0.6, 0.5, 0.35)
+    cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.0, 0.1), kt, (0.0, 0.5))
+    flags = {"with_k2": True} if experiment == "custom" else {}
+    sigma2s = cfg.sigma2 if experiment == "custom" else cfg.sigma2[:1]
+    recorded = _recording_group_pass(monkeypatch)
     result = GROUP_RUNNERS[experiment](cfg)
+    # loss-robustness adds one pass over its parabolic vertices; the grid
+    # passes are the ones over the config's Kt axis
+    passes = [(g, d, rows) for g, kts, d, rows in recorded if kts == kt]
     for gamma in cfg.gamma:
         dims = [d for g, d, _ in passes if g == gamma]
         group_dim = evaluate_point(0.0, 0.5, 1.0, gamma, max(kt), cfg.sigma2[0], **flags).dim
@@ -401,6 +412,46 @@ def test_lossy_group_is_one_pass_per_dim(monkeypatch, experiment):
             np.testing.assert_allclose(
                 harness._row_figures(row), harness._row_figures(ref), rtol=1e-12
             )
+
+
+def test_loss_robustness_is_a_grid_pass_and_a_vertex_pass(monkeypatch):
+    # at a fixed dim: per gamma one pass over the Kt grid and at most one over
+    # the parabolic vertices of the three maxima, and no per-point evaluation
+    dim = 48
+    kt = tuple(np.linspace(0.1, 0.45, 8))
+    cfg = ExperimentConfig("loss-robustness", (0.0,), (2.0,), (1.0,), (0.0, 0.1), kt, (0.0,))
+    recorded = _recording_group_pass(monkeypatch)
+    point_calls = []
+    point = harness.evaluate_point
+
+    def counting(*args, **kwargs):
+        point_calls.append(args)
+        return point(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_point", counting)
+    result = run_loss_robustness(cfg, dim=dim)
+    assert point_calls == []
+    figures = ("chi2inv_1", "f_q", "chi2inv_mai")
+    for gamma, row in zip(cfg.gamma, result.rows):
+        passes = [(kts, d, rows) for g, kts, d, rows in recorded if g == gamma]
+        assert passes[0][:2] == (kt, dim) and len(passes) <= 2
+        grid_rows = passes[0][2]
+        vertices = {}
+        for name in figures:
+            values = np.array([getattr(r, name) for r in grid_rows])
+            i = int(np.argmax(values))
+            if 0 < i < len(kt) - 1:
+                vertices[name] = harness._parabolic_vertex(np.array(kt), values, i)
+        vertices = {k: v for k, v in vertices.items() if v is not None}
+        assert vertices, "the grid should bracket at least one maximum"
+        assert [p[:2] for p in passes[1:]] == [(tuple(sorted(set(vertices.values()))), dim)]
+        for name in figures:
+            best = max(getattr(r, name) for r in grid_rows)
+            if name in vertices:
+                ref = evaluate_point(0.0, 2.0, 1.0, gamma, vertices[name], dim=dim)
+                best = max(best, getattr(ref, name))
+            assert getattr(row, name) == pytest.approx(best, rel=1e-12)
+        assert row.dim == dim
 
 
 def test_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
