@@ -9,6 +9,13 @@ shot) is
 
 which is bounded by the quantum Fisher information. The vacuum gives
 chi^-2 = 2, the reference standard quantum limit.
+
+Optimising over a measured combination m of observables M_j turns this into
+a Rayleigh quotient |c m|^2 / (m^T Gamma m) with response c and covariance
+Gamma. The method of moments (observables of polynomial order k) and the
+echo (quadratures after the reversal) are both this quotient, and both are
+solved by best_readout as the top eigenpair of the pencil (c^T c, Gamma) on
+the range of Gamma.
 """
 from __future__ import annotations
 
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import dynamics
 from .fock import (
@@ -38,7 +44,7 @@ from .fock import (
 STANDARD_QUANTUM_LIMIT = 2.0
 DEGENERATE_VARIANCE = 1e-14
 QFI_EIG_CUTOFF = 1e-12
-PINV_RCOND = 1e-10
+GAMMA_RANGE_RTOL = 1e-13
 
 
 class DegenerateMeasurementError(ValueError):
@@ -253,88 +259,75 @@ def moment_basis(dim: int, order: int) -> MomentBasis:
     return MomentBasis(order=order, operators=ops[: _BASIS_LENGTH[order]])
 
 
-def _basis_products(state: QuantumState, mats: list[np.ndarray]):
-    """First moments and pairwise <A B> for Hermitian matrices on one state."""
-    k = len(mats)
+def moment_matrices(state: QuantumState, basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Commutator matrix C and covariance matrix Gamma of the measured basis.
+
+    Both come from one table <M_i M_j>: Gamma is its symmetrised real part
+    minus <M_i><M_j>, and since the generators X, P are the first two basis
+    entries, C_ij = -i <[G_i, M_j]> = 2 Im <G_i M_j> is its first two rows.
+    """
+    mats = [op.matrix for op in basis.operators]
     if state.is_pure:
-        vecs = [m @ state.data for m in mats]
-        means = np.array([float(np.vdot(state.data, v).real) for v in vecs])
-        prod = np.empty((k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                prod[i, j] = np.vdot(vecs[i], vecs[j])
+        vecs = np.stack([m @ state.data for m in mats])
+        means = (vecs @ state.data.conj()).real
+        prod = vecs.conj() @ vecs.T
     else:
         rho_m = [state.data @ m for m in mats]
-        means = np.array([float(np.trace(rm).real) for rm in rho_m])
-        prod = np.empty((k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                prod[i, j] = np.sum(rho_m[i].T * mats[j])
-    return means, prod
-
-
-def commutator_matrix(
-    state: QuantumState, basis: MomentBasis, generators: MomentBasis | None = None
-) -> np.ndarray:
-    """C_ij = -i <[G_i, M_j]> with generators defaulting to (X, P)."""
-    g_ops = generators.operators if generators is not None else moment_basis(state.dim, 1).operators
-    g_mats = [op.matrix for op in g_ops]
-    m_mats = [op.matrix for op in basis.operators]
-    c = np.empty((len(g_mats), len(m_mats)))
-    if state.is_pure:
-        g_vecs = [m @ state.data for m in g_mats]
-        m_vecs = [m @ state.data for m in m_mats]
-        for i, gv in enumerate(g_vecs):
-            for j, mv in enumerate(m_vecs):
-                c[i, j] = 2.0 * complex(np.vdot(gv, mv)).imag
-    else:
-        rho_g = [state.data @ g for g in g_mats]
-        for i, rg in enumerate(rho_g):
-            for j, m in enumerate(m_mats):
-                c[i, j] = 2.0 * complex(np.sum(rg.T * m)).imag
-    return c
-
-
-def covariance_matrix(state: QuantumState, basis: MomentBasis) -> np.ndarray:
-    """Symmetrised covariance matrix of the measured observables."""
-    mats = [op.matrix for op in basis.operators]
-    means, prod = _basis_products(state, mats)
+        means = np.array([np.trace(rm).real for rm in rho_m])
+        # Tr[rho M_i M_j] = sum_ab (rho M_i)_ba (M_j)_ab
+        flat = np.stack([m.reshape(-1) for m in mats])
+        prod = np.stack([rm.T.reshape(-1) for rm in rho_m]) @ flat.T
     gamma = prod.real - np.outer(means, means)
-    return (gamma + gamma.T) / 2.0
+    return 2.0 * prod[:2].imag, (gamma + gamma.T) / 2.0
 
 
-def moment_sensitivity(
-    state: QuantumState,
-    basis: MomentBasis | int,
-    pinv_rcond: float = PINV_RCOND,
-) -> SensitivityReport:
-    """Method-of-moments chi^-2 optimised over generator direction and
-    measurement combination.
+def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
+    """Best generator direction and measurement combination for response c.
 
-    Solves the eigenproblem of C Gamma^+ C^T (2x2); n_opt is the top
-    eigenvector, m_opt proportional to Gamma^+ C^T n_opt.
+    c[i, j] = d<M_j>/dd for generator direction i in (X, P) and measured
+    observable M_j; gamma is the covariance of the M_j (plus any detection
+    noise). The value max |c m|^2 / (m^T gamma m) is the top eigenvalue of
+    the pencil (c^T c, gamma), solved on the range of gamma: entries whose
+    variance is at round-off (DEGENERATE_VARIANCE) are dropped, the rest are
+    equilibrated to unit variance, and directions whose equilibrated
+    variance is below GAMMA_RANGE_RTOL of the largest are left out. n_opt is
+    the top eigenvector of c gamma^+ c^T and m_opt is proportional to
+    gamma^+ c^T n_opt.
     """
-    if isinstance(basis, int):
-        basis = moment_basis(state.dim, basis)
-    c = commutator_matrix(state, basis)
-    gamma = covariance_matrix(state, basis)
-    gamma_inv = np.linalg.pinv(gamma, rcond=pinv_rcond, hermitian=True)
-    mm = c @ gamma_inv @ c.T
-    mm = (mm + mm.T) / 2.0
-    evals, evecs = np.linalg.eigh(mm)
-    n_opt = evecs[:, 1]
-    m_opt = gamma_inv @ c.T @ n_opt
+    var = np.diag(gamma)
+    keep = var > DEGENERATE_VARIANCE
+    s = 1.0 / np.sqrt(var[keep])
+    lam, u = np.linalg.eigh(gamma[np.ix_(keep, keep)] * np.outer(s, s))
+    in_range = lam > GAMMA_RANGE_RTOL * lam.max(initial=0.0)
+    whiten = s[:, None] * (u[:, in_range] / np.sqrt(lam[in_range]))
+    b = c[:, keep] @ whiten
+    evals, evecs = np.linalg.eigh(b @ b.T)
+    n_opt = evecs[:, -1]
+    m_opt = np.zeros(len(var))
+    m_opt[keep] = whiten @ (b.T @ n_opt)
     norm = float(np.linalg.norm(m_opt))
     if norm > 0:
         m_opt = m_opt / norm
-    theta = _angle_of(m_opt[:2]) if basis.order == 1 else None
     return SensitivityReport(
-        value=float(max(evals[1], 0.0)),
+        value=float(max(evals[-1], 0.0)),
         phi_opt=_angle_of(n_opt),
-        theta_opt=theta,
+        theta_opt=_angle_of(m_opt),
         n_opt=n_opt,
         m_opt=m_opt,
     )
+
+
+def moment_sensitivity(state: QuantumState, basis: MomentBasis | int) -> SensitivityReport:
+    """Method-of-moments chi^-2 optimised over generator direction and
+    measurement combination: best_readout of the basis's moment_matrices.
+    theta_opt is the measured quadrature's angle, so only order 1 has one.
+    """
+    if isinstance(basis, int):
+        basis = moment_basis(state.dim, basis)
+    report = best_readout(*moment_matrices(state, basis))
+    if basis.order != 1:
+        report.theta_opt = None
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +339,11 @@ def readout_optimum(r: np.ndarray, cov: np.ndarray, sigma2: float) -> Sensitivit
 
     r[i, j] = d<M_j>/dd for generator direction i and measured quadrature j
     (both over (X, P)); cov is the quadrature covariance at readout. The value
-    max_m |r m|^2 / (m^T cov m + sigma2) over unit m is the top eigenvalue of
-    the pencil (r^T r, cov + sigma2 I), and m_opt its eigenvector. The pencil
-    is positive definite because V_min V_max >= 1/4.
+    max_m |r m|^2 / (m^T cov m + sigma2) over unit m is best_readout of
+    (r, cov + sigma2 I), the same pencil as the method of moments, and
+    theta_opt is the angle of m_opt.
     """
-    evals, evecs = scipy.linalg.eigh(r.T @ r, cov + sigma2 * np.eye(2))
-    m_opt = evecs[:, -1] / np.linalg.norm(evecs[:, -1])
-    n_opt = r @ m_opt
-    norm = float(np.linalg.norm(n_opt))
-    n_opt = n_opt / norm if norm > 0 else np.array([1.0, 0.0])
-    return SensitivityReport(
-        value=float(evals[-1]),
-        phi_opt=_angle_of(n_opt),
-        theta_opt=_angle_of(m_opt),
-        n_opt=n_opt,
-        m_opt=m_opt,
-    )
+    return best_readout(r, cov + sigma2 * np.eye(2))
 
 
 def _mai_operator_route(

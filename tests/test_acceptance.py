@@ -27,10 +27,10 @@ from kerrsense.harness import (
 )
 from kerrsense.metrology import (
     DetectionNoise,
-    commutator_matrix,
     linear_sensitivity,
     mai_sensitivity,
     moment_basis,
+    moment_matrices,
     moment_sensitivity,
     noisy_linear_sensitivity,
     qfi_max,
@@ -137,7 +137,7 @@ def test_criterion_04_second_order_no_advantage():
         worst_gap = max(worst_gap, gap)
         if gap > 1e-8:
             failures.append(f"state {i}: |chi2 - chi1| = {gap:.3e} > 1e-8")
-        block = float(np.abs(commutator_matrix(state, basis2)[:, 2:]).max())
+        block = float(np.abs(moment_matrices(state, basis2)[0][:, 2:]).max())
         worst_block = max(worst_block, block)
         if block > 1e-10:
             failures.append(f"state {i}: second-order commutator block {block:.3e} > 1e-10")

@@ -1,12 +1,13 @@
 """Experiment runners, the pinned CSV/JSON schema, and the CLI."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from kerrsense import dynamics, harness
+from kerrsense import dynamics, fock, harness
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
 from kerrsense.dynamics import HamiltonianParams, evolve_unitary
@@ -127,6 +128,18 @@ def test_evaluate_point_auto_dim_is_converged():
     again = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.2, dim=2 * row.dim)
     for name in ("n_mean", "v_min", "chi2inv_1", "f_q", "chi2inv_mai"):
         assert getattr(row, name) == pytest.approx(getattr(again, name), rel=1e-6)
+
+
+def test_auto_dim_is_the_same_with_k3(monkeypatch):
+    # a near-vacuum point whose order-3 covariance has condition ~4e9: the
+    # k = 3 figure must not keep the doubling search climbing (the cap keeps
+    # a regression cheap; the point accepts dim 160)
+    monkeypatch.setattr(fock, "converge_dim", functools.partial(fock.converge_dim, max_dim=640))
+    point = (-9.605, 0.0217, 1.0, 0.0, 0.5)
+    plain = evaluate_point(*point, dim=None)
+    with_k3 = evaluate_point(*point, dim=None, with_k3=True)
+    assert with_k3.dim == plain.dim
+    assert with_k3.chi2inv_3 >= with_k3.chi2inv_1
 
 
 def test_evaluate_point_flags():

@@ -1,6 +1,7 @@
 """Sensitivity figures: direct, QFI, method of moments, and the echo protocol."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from kerrsense.metrology import (
     STANDARD_QUANTUM_LIMIT,
     DegenerateMeasurementError,
     DetectionNoise,
-    commutator_matrix,
-    covariance_matrix,
     linear_sensitivity,
     mai_sensitivity,
     moment_basis,
+    moment_matrices,
     moment_sensitivity,
     noisy_linear_sensitivity,
     qfi_generator,
@@ -230,7 +230,7 @@ def test_second_order_buys_nothing_for_vacuum_evolved_states():
 
 def test_commutator_block_vanishes_for_definite_parity():
     state = kerr_state(96, delta=1.5, eps=2.5, kt=0.35)
-    c = commutator_matrix(state, moment_basis(96, 2))
+    c = moment_matrices(state, moment_basis(96, 2))[0]
     # columns of the quadratic observables: <[linear, quadratic]> has odd
     # parity, so a definite-parity state gives zero
     assert np.max(np.abs(c[:, 2:])) < 1e-10
@@ -248,16 +248,56 @@ def test_second_order_gains_for_displaced_states():
 
 
 def test_moment_hierarchy_and_cramer_rao():
-    for seed in range(6):
-        state = random_ket(24, seed=seed)
-        chi1 = moment_sensitivity(state, 1).value
-        chi2 = moment_sensitivity(state, 2).value
-        chi3 = moment_sensitivity(state, 3).value
-        f_q = qfi_max(state).value
-        slack = 1e-8 * max(f_q, 1.0)
-        assert chi1 <= chi2 + slack
-        assert chi2 <= chi3 + slack
-        assert chi3 <= f_q + slack
+    # chi1 <= chi2 <= chi3 <= F_Q to rounding: random kets, a near-vacuum
+    # band whose order-3 covariance is ill-conditioned, and a lossy trajectory
+    # from the vacuum (Kt = 0 makes the order >= 2 covariance singular)
+    random_kets = [random_ket(24, seed=seed) for seed in range(6)]
+    band = [
+        kerr_state(64, delta=delta, eps=eps, kt=0.5)
+        for delta in np.linspace(-10.0, 10.0, 9)
+        for eps in (0.005, 0.01, 0.02, 0.03)
+    ]
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    lossy = dynamics.evolve_vacuum(48, p, LossParams(0.1), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    for state in random_kets + band + lossy:
+        chain = [moment_sensitivity(state, order).value for order in (1, 2, 3)]
+        chain.append(qfi_max(state).value)
+        for lower, upper in zip(chain, chain[1:]):
+            assert lower <= upper * (1.0 + 1e-12)
+
+
+def test_moment_sensitivity_is_stable_across_dims():
+    # a near-vacuum point whose order-3 covariance has condition ~4e9
+    values = [
+        moment_sensitivity(kerr_state(dim, delta=-9.605, eps=0.0217, kt=0.5), 3).value
+        for dim in (32, 64, 128, 256)
+    ]
+    assert max(values) - min(values) <= 1e-12 * min(values)
+    chi1 = linear_sensitivity(kerr_state(64, delta=-9.605, eps=0.0217, kt=0.5)).value
+    assert min(values) >= chi1
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_moment_sensitivity_of_the_vacuum(gamma):
+    # Kt = 0: the order >= 2 covariance is exactly singular (a^2 |0> = 0)
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    (vacuum,) = dynamics.evolve_vacuum(32, p, LossParams(gamma), [0.0])
+    assert vacuum.is_pure == (gamma == 0.0)
+    for order in (1, 2, 3):
+        value = moment_sensitivity(vacuum, order).value
+        assert abs(value - STANDARD_QUANTUM_LIMIT) < 1e-12
+
+
+def test_moment_sensitivity_of_a_position_eigenstate():
+    # an eigenstate of the truncated X: Var[X] = 0 and no observable of the
+    # basis responds to a displacement, so every order gives 0
+    evals, evecs = np.linalg.eigh(fock.position(16).matrix)
+    for i in (0, 7, 8):
+        state = QuantumState.from_ket(evecs[:, i].astype(complex), check_tail=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [moment_sensitivity(state, order).value for order in (1, 2, 3)]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1e-12 for v in values)
 
 
 def test_moment_sensitivity_accepts_basis_or_order():
@@ -269,9 +309,34 @@ def test_moment_sensitivity_accepts_basis_or_order():
 
 def test_covariance_matrix_is_symmetric_psd():
     state = random_ket(24, seed=9)
-    gamma = covariance_matrix(state, moment_basis(24, 2))
+    gamma = moment_matrices(state, moment_basis(24, 2))[1]
     np.testing.assert_allclose(gamma, gamma.T, atol=1e-12)
     assert np.linalg.eigvalsh(gamma)[0] > -1e-10
+
+
+def test_moment_matrices_match_their_definitions():
+    # C_ij = -i <[G_i, M_j]> and Gamma_ij = <{M_i, M_j}>/2 - <M_i><M_j>, one
+    # expectation at a time, for a ket and for the same state as a matrix
+    ket = random_ket(20, seed=4)
+    basis = moment_basis(20, 3)
+    ops = basis.operators
+    means = [fock.expectation(ket, m).real for m in ops]
+    c_ref = [
+        [(-1j * fock.expectation(ket, fock.commutator(g, m))).real for m in ops] for g in ops[:2]
+    ]
+    gamma_ref = [
+        [
+            fock.expectation(ket, Operator((a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0)).real
+            - means[i] * means[j]
+            for j, b in enumerate(ops)
+        ]
+        for i, a in enumerate(ops)
+    ]
+    mixed = QuantumState.from_density_matrix(ket.density_matrix(), check_tail=False)
+    for state in (ket, mixed):
+        c, gamma = moment_matrices(state, basis)
+        np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_moment_report_directions():
