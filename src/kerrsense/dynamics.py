@@ -389,6 +389,20 @@ def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajector
     )
 
 
+def initial_dim(p: HamiltonianParams, t: float) -> int:
+    """Start of the doubling search (fock.converge_dim) for the vacuum evolved
+    to time t: a physics estimate of its support, rounded up to a multiple of
+    16 in [32, 2048]."""
+    if p.kerr > 0.0:
+        # Kerr confinement bounds <n> near (|delta| + 2 epsilon)/kerr.
+        guess = 32.0 + 4.0 * (abs(p.delta) + 2.0 * p.epsilon) / p.kerr
+    else:
+        # Free squeezing: <n> = sinh^2(2 epsilon t).
+        r = 2.0 * abs(p.epsilon) * t
+        guess = 32.0 + 8.0 * math.sinh(min(r, 4.0)) ** 2
+    return int(min(max(32, 16 * math.ceil(guess / 16.0)), 2048))
+
+
 def squeezing_trace(
     p: HamiltonianParams,
     t_grid,
@@ -396,22 +410,18 @@ def squeezing_trace(
 ) -> VacuumTrajectory:
     """Evolve the vacuum and record V_min(t), theta_opt(t) on t_grid.
 
-    dim=None converges the dimension until the whole V_min trace is stable.
-    Warns (TruncationWarning) when a ket of the returned trajectory holds
-    more than TAIL_THRESHOLD in its top levels.
+    dim=None converges the dimension (fock.converge_dim, from initial_dim at
+    the largest |t|) until the whole V_min trace is stable.  Warns
+    (TruncationWarning) when a ket of the returned trajectory holds more than
+    TAIL_THRESHOLD in its top levels.
     """
-    trajectories: dict[int, VacuumTrajectory] = {}
-
-    def v_min_trace(d: int) -> np.ndarray:
-        trajectories[d] = vacuum_trajectory(p, t_grid, d)
-        return trajectories[d].v_min
-
     if dim is None:
-        _, dim = converge_dim(v_min_trace)
+        start = initial_dim(p, float(np.max(np.abs(t_grid), initial=0.0)))
+        trajectory, _ = converge_dim(
+            lambda d: vacuum_trajectory(p, t_grid, d), lambda tr: tr.v_min, start
+        )
     else:
-        dim = check_dim(dim)
-        v_min_trace(dim)
-    trajectory = trajectories[dim]
+        trajectory = vacuum_trajectory(p, t_grid, dim)
     warn_tail(float(np.max(trajectory.tail)), stacklevel=2)
     return trajectory
 

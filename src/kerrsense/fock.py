@@ -12,7 +12,7 @@ import logging
 import math
 import warnings
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,6 +24,11 @@ EIG_FLOOR = -1e-9
 TAIL_FRACTION = 0.05
 TAIL_THRESHOLD = 1e-8
 VARIANCE_FLOOR = -1e-10
+# Every auto-dim result (converge_dim) is stable to this under a dim doubling;
+# well inside the 1e-5 the results are documented to hold at.
+AUTO_DIM_RTOL = 1e-7
+
+T = TypeVar("T")
 
 log = logging.getLogger(__name__)
 
@@ -481,31 +486,33 @@ def apply_quadrature(psi: np.ndarray, theta: float) -> np.ndarray:
 
 
 def converge_dim(
-    builder: Callable[[int], float | np.ndarray],
-    start_dim: int = 80,
-    rel_tol: float = 1e-8,
+    build: Callable[[int], T],
+    figures: Callable[[T], float | np.ndarray],
+    start_dim: int,
     max_dim: int = 5120,
-):
-    """Double dim until the monitored figure(s) stabilise.
+) -> tuple[T, int]:
+    """Double dim from start_dim until the monitored figure(s) stabilise.
 
-    ``builder(dim)`` returns a scalar or array of figures; convergence is
-    reached when every entry changes by less than ``rel_tol`` relative between
-    dim and 2*dim. Returns ``(figures, dim)`` evaluated at the larger dim.
+    ``build(dim)`` computes a result at dim and ``figures(result)`` the
+    scalar or array it is judged by; dim is accepted when every entry changes
+    by less than AUTO_DIM_RTOL relative between dim and 2*dim.  Returns
+    ``(build(2*dim), 2*dim)``: the accepted result itself, not built again.
     NaN entries compare equal to NaN (sentinel values pass through).
     """
     dim = check_dim(start_dim)
-    prev = np.atleast_1d(np.asarray(builder(dim), dtype=float))
+    prev = np.atleast_1d(np.asarray(figures(build(dim)), dtype=float))
     log.debug("converge_dim: tried dim %d", dim)
     while 2 * dim <= max_dim:
-        nxt = np.atleast_1d(np.asarray(builder(2 * dim), dtype=float))
+        result = build(2 * dim)
+        nxt = np.atleast_1d(np.asarray(figures(result), dtype=float))
         scale = np.maximum(np.maximum(np.abs(prev), np.abs(nxt)), 1e-12)
         diff = np.abs(nxt - prev) / scale
         both_nan = np.isnan(prev) & np.isnan(nxt)
         change = float(np.max(np.where(both_nan, 0.0, diff)))  # NaN if any entry is NaN
         log.debug("converge_dim: tried dim %d, max relative change %.3e", 2 * dim, change)
-        if change < rel_tol:
-            log.debug("converge_dim: accepted dim %d (rel_tol %.1e)", 2 * dim, rel_tol)
-            return nxt, 2 * dim
+        if change < AUTO_DIM_RTOL:
+            log.debug("converge_dim: accepted dim %d (rel_tol %.1e)", 2 * dim, AUTO_DIM_RTOL)
+            return result, 2 * dim
         prev = nxt
         dim *= 2
     log.debug("converge_dim: no convergence up to dim %d", max_dim)

@@ -6,14 +6,15 @@ whose rows serialize to a fixed CSV schema (or the JSON mirror of it).  All
 computations are deterministic: identical configs produce byte-identical
 files.
 
-Dimension policy: with dim=None the Fock dimension is doubled until every
-reported figure is stable to AUTO_DIM_RTOL.  A parameter group (one delta,
-epsilon, kerr, gamma over the Kt and sigma2 axes), lossless or lossy, is one
-pass per dimension: the vacuum evolves to all of the group's times at once
-(one GEMM without loss, one chained Lindblad pass with it), and under loss
-the echo readouts evolve once backwards.  Its dimension is doubled over whole
-passes until the row at the largest Kt, where the state support is widest, is
-stable.  A single point is the one-point group.
+Dimension policy (fock.converge_dim, the library's one): with dim=None the
+Fock dimension is doubled from dynamics.initial_dim until every monitored
+figure is stable to AUTO_DIM_RTOL, and the accepted pass is kept.  A
+parameter group (one delta, epsilon, kerr, gamma over the Kt and sigma2
+axes), lossless or lossy, is one pass per dimension: the vacuum evolves to
+all of the group's times at once (one GEMM without loss, one chained Lindblad
+pass with it), and under loss the echo readouts evolve once backwards.  Its
+dimension is doubled over whole passes until the row at the largest Kt, where
+the state support is widest, is stable.  A single point is the one-point group.
 
 Time convention: the ``kt`` grid value means K*t when kerr > 0 and the bare
 evolution time when kerr = 0, so ideal-squeezing reference rows remain
@@ -35,7 +36,7 @@ import numpy as np
 from . import dynamics, fock, metrology
 from .config import ConfigError, ExperimentConfig
 from .dynamics import HamiltonianParams, LossParams, NoInteriorMinimumError
-from .fock import QuantumState
+from .fock import AUTO_DIM_RTOL, QuantumState
 from .metrology import DetectionNoise
 from .wigner import DEFAULT_GRID, PhaseGrid, wigner
 
@@ -77,10 +78,6 @@ CSV_COLUMNS = [
     "chi2inv_mai",
     "status",
 ]
-
-# Accepting a row requires a dim doubling to move every figure by less than
-# this; well inside the 1e-5 the results are documented to hold at.
-AUTO_DIM_RTOL = 1e-7
 
 FIG1_TRACE_EPSILON = 2.0  # the V_min(t) traces fix epsilon and sweep kerr
 FIG1_OPTIMA_KERR = 1.0  # the optimal-squeezing table is quoted per unit K
@@ -189,18 +186,6 @@ def _time_of(kerr: float, kt: float) -> float:
     return kt / kerr if kerr > 0.0 else kt
 
 
-def _initial_dim(delta: float, epsilon: float, kerr: float, t: float) -> int:
-    """Starting Fock dimension for the doubling search."""
-    if kerr > 0.0:
-        # Kerr confinement bounds <n> near (|delta| + 2 epsilon)/kerr.
-        guess = 32.0 + 4.0 * (abs(delta) + 2.0 * epsilon) / kerr
-    else:
-        # Free squeezing: <n> = sinh^2(2 epsilon t).
-        r = 2.0 * abs(epsilon) * t
-        guess = 32.0 + 8.0 * math.sinh(min(r, 4.0)) ** 2
-    return int(min(max(32, 16 * math.ceil(guess / 16.0)), 2048))
-
-
 def _state_rows(
     delta: float,
     epsilon: float,
@@ -290,7 +275,7 @@ def evaluate_point(
     """Evaluate one grid point; dim=None doubles until figures stabilise."""
     if dim is not None:
         return _point_row(delta, epsilon, kerr, gamma, kt, sigma2, dim, **flags)
-    return _group_dim(delta, epsilon, kerr, gamma, [kt], [sigma2], **flags)[1][0]
+    return _group_dim(delta, epsilon, kerr, gamma, [kt], [sigma2], **flags)[0]
 
 
 def _group_pass(
@@ -332,23 +317,21 @@ def _group_dim(
     kt_values,
     sigma2s,
     **flags,
-) -> tuple[int, list[SweepRow]]:
-    """Converged dimension of a group and the group's rows at it.
+) -> list[SweepRow]:
+    """The group's rows at its converged dimension.
 
     Doubles over whole group passes, monitoring the (max Kt, sigma2s[0]) row,
-    where the state support is widest, from that row's _initial_dim.
+    where the state support is widest, from dynamics.initial_dim at that Kt.
     """
     kt_ref = max(kt_values)
     i_ref = list(kt_values).index(kt_ref) * len(sigma2s)
-    passes: dict[int, list[SweepRow]] = {}
-
-    def monitored(d: int) -> np.ndarray:
-        passes[d] = _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, d, **flags)
-        return _row_figures(passes[d][i_ref])
-
-    start = _initial_dim(delta, epsilon, kerr, _time_of(kerr, kt_ref))
-    _, used = fock.converge_dim(monitored, start_dim=start, rel_tol=AUTO_DIM_RTOL)
-    return used, passes[used]
+    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
+    rows, _ = fock.converge_dim(
+        lambda d: _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, d, **flags),
+        lambda rows: _row_figures(rows[i_ref]),
+        dynamics.initial_dim(p, _time_of(kerr, kt_ref)),
+    )
+    return rows
 
 
 def _group_rows(
@@ -367,7 +350,7 @@ def _group_rows(
         (kt,), (sigma2,) = kt_values, sigma2s
         return [evaluate_point(delta, epsilon, kerr, gamma, kt, sigma2, dim=dim, **flags)]
     if dim is None:
-        return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, **flags)[1]
+        return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, **flags)
     return _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
 
 
@@ -477,6 +460,43 @@ def _check_lossless_ordering(rows: list[SweepRow], slack: float = 1e-6) -> None:
             )
 
 
+def _prepared_state(
+    delta: float, epsilon: float, kerr: float, gamma: float, kt: float, dim: int | None
+) -> QuantumState:
+    """The vacuum evolved to kt.  dim=None converges the dimension on the
+    figures of the point's row without the echo, so it accepts the dim of
+    evaluate_point(..., dim=None, with_mai=False)."""
+    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
+    loss = LossParams(gamma)
+    t = _time_of(kerr, kt)
+
+    def build(d: int) -> QuantumState:
+        (state,) = dynamics.evolve_vacuum(d, p, loss, [t])
+        return state
+
+    if dim is not None:
+        return build(dim)
+
+    def figures(state: QuantumState) -> np.ndarray:
+        (row,) = _state_rows(delta, epsilon, kerr, gamma, kt, state, None, [0.0])
+        return _row_figures(row)
+
+    return fock.converge_dim(build, figures, dynamics.initial_dim(p, t))[0]
+
+
+def _snapshot(
+    name: str, state: QuantumState, report: metrology.SensitivityReport, grid: PhaseGrid
+) -> WignerSnapshot:
+    return WignerSnapshot(
+        name=name,
+        x_grid=grid.x_values,
+        p_grid=grid.p_values,
+        w=wigner(state, grid),
+        phi_opt=float(report.phi_opt),
+        theta_opt=float(report.theta_opt),
+    )
+
+
 def _fig3_snapshots(
     delta: float,
     epsilon: float,
@@ -486,38 +506,20 @@ def _fig3_snapshots(
 ) -> list[WignerSnapshot]:
     """Phase-space views of the echo protocol: prepared, displaced, reversed."""
     gamma = SNAPSHOT_GAMMA * kerr
-    if dim is None:
-        probe = evaluate_point(
-            delta, epsilon, kerr, gamma, SNAPSHOT_KT, dim=None, with_mai=False
-        )
-        dim = int(probe.dim)
-    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    loss = LossParams(gamma)
-    t = _time_of(kerr, SNAPSHOT_KT)
-
-    (prepared,) = dynamics.evolve_vacuum(dim, p, loss, [t])
+    prepared = _prepared_state(delta, epsilon, kerr, gamma, SNAPSHOT_KT, dim)
     report = metrology.linear_sensitivity(prepared)
     alpha = -1j * SNAPSHOT_DISPLACEMENT * cmath.exp(1j * report.phi_opt) / math.sqrt(2.0)
-    d_op = fock.displacement(dim, alpha).matrix
+    d_op = fock.displacement(prepared.dim, alpha).matrix
     displaced = QuantumState.from_density_matrix(
         d_op @ prepared.density_matrix() @ d_op.conj().T
     )
-    reversed_state = dynamics.evolve_lindblad(displaced, p, loss, t, reverse=True)
-
-    def snap(name: str, state: QuantumState) -> WignerSnapshot:
-        return WignerSnapshot(
-            name=name,
-            x_grid=grid.x_values,
-            p_grid=grid.p_values,
-            w=wigner(state, grid),
-            phi_opt=float(report.phi_opt),
-            theta_opt=float(report.theta_opt),
-        )
-
+    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
+    t = _time_of(kerr, SNAPSHOT_KT)
+    reversed_state = dynamics.evolve_lindblad(displaced, p, LossParams(gamma), t, reverse=True)
     return [
-        snap("prepared", prepared),
-        snap("displaced", displaced),
-        snap("reversed", reversed_state),
+        _snapshot("prepared", prepared, report, grid),
+        _snapshot("displaced", displaced, report, grid),
+        _snapshot("reversed", reversed_state, report, grid),
     ]
 
 
@@ -597,26 +599,25 @@ def run_scaling(
 
     def run_one(epsilon: float) -> tuple[list[SweepRow], ScalingFit]:
         p = HamiltonianParams(delta=0.0, epsilon=epsilon, kerr=kerr)
-        series: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
 
-        def monitored(d: int) -> np.ndarray:
+        def series(d: int) -> tuple[np.ndarray, np.ndarray, float]:
             n_mean, f_q = _scaling_series(d, p, t_grid)
             i_max = _first_maximum(f_q)
             if i_max is None:
                 raise ScalingFitError(
                     f"no F_Q maximum for epsilon/K = {epsilon / kerr}; extend the kt grid"
                 )
-            a = _fit_slope(n_mean[: i_max + 1], f_q[: i_max + 1], 0.2)
-            series[d] = (n_mean[: i_max + 1], f_q[: i_max + 1], a)
-            return np.array([a, n_mean[i_max], f_q[i_max]])
+            n_mean, f_q = n_mean[: i_max + 1], f_q[: i_max + 1]
+            return n_mean, f_q, _fit_slope(n_mean, f_q, 0.2)
 
         if dim is not None:
-            monitored(dim)
-            used = dim
+            (n_mean, f_q, a), used = series(dim), dim
         else:
-            start = _initial_dim(0.0, epsilon, kerr, float(t_grid[-1]))
-            _, used = fock.converge_dim(monitored, start_dim=start, rel_tol=AUTO_DIM_RTOL)
-        n_mean, f_q, a = series[used]
+            (n_mean, f_q, a), used = fock.converge_dim(
+                series,
+                lambda s: np.array([s[2], s[0][-1], s[1][-1]]),  # a, N and F_Q at the maximum
+                dynamics.initial_dim(p, float(t_grid[-1])),
+            )
         fit = ScalingFit(
             epsilon_over_k=epsilon / kerr,
             a=a,
@@ -739,25 +740,9 @@ def run_wigner(
     **_ignored,
 ) -> SweepResult:
     """Wigner snapshot of one prepared state with its optimal angles."""
-    delta = cfg.delta[0]
-    epsilon = cfg.epsilon[0]
-    kerr = cfg.kerr[0]
-    gamma = cfg.gamma[0]
-    kt = cfg.kt[0]
-    if dim is None:
-        probe = evaluate_point(delta, epsilon, kerr, gamma, kt, dim=None, with_mai=False)
-        dim = int(probe.dim)
-    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    (state,) = dynamics.evolve_vacuum(dim, p, LossParams(gamma), [_time_of(kerr, kt)])
-    report = metrology.linear_sensitivity(state)
-    snapshot = WignerSnapshot(
-        name="state",
-        x_grid=grid.x_values,
-        p_grid=grid.p_values,
-        w=wigner(state, grid),
-        phi_opt=float(report.phi_opt),
-        theta_opt=float(report.theta_opt),
-    )
+    point = (cfg.delta[0], cfg.epsilon[0], cfg.kerr[0], cfg.gamma[0], cfg.kt[0])
+    state = _prepared_state(*point, dim)
+    snapshot = _snapshot("state", state, metrology.linear_sensitivity(state), grid)
     return SweepResult(experiment="wigner", rows=[], snapshots=[snapshot])
 
 

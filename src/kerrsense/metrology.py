@@ -449,7 +449,9 @@ def mai_sensitivity(
 
     The state evolves for time t under (p, loss) and then goes through
     echo_responses with reversal_time (default t) and method. dim=None
-    converges the Fock dimension.
+    converges the Fock dimension on the echo figure, by the one policy of
+    every auto-dim result (fock.converge_dim from dynamics.initial_dim at
+    max(t, reversal_time)).
     """
     loss = loss if loss is not None else dynamics.LossParams(0.0)
     t_rev = reversal_time if reversal_time is not None else t
@@ -462,12 +464,5 @@ def mai_sensitivity(
 
     if dim is not None:
         return run(check_dim(dim))
-    report_holder: dict[int, SensitivityReport] = {}
-
-    def monitored(d: int) -> float:
-        rep = run(d)
-        report_holder[d] = rep
-        return rep.value
-
-    _, used = converge_dim(monitored)
-    return report_holder[used]
+    start = dynamics.initial_dim(p, max(t, t_rev))
+    return converge_dim(run, lambda rep: rep.value, start)[0]

@@ -447,8 +447,8 @@ def test_squeezing_trace_logs_the_dimension_ladder(caplog):
     with caplog.at_level(logging.DEBUG, logger="kerrsense"):
         trace = squeezing_trace(p, np.linspace(0.0, 0.3, 4))
     messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.fock"]
-    assert messages[0] == "converge_dim: tried dim 80"
-    assert messages[1].startswith("converge_dim: tried dim 160, max relative change ")
+    assert messages[0] == "converge_dim: tried dim 48"
+    assert messages[1].startswith("converge_dim: tried dim 96, max relative change ")
     assert messages[-1].startswith(f"converge_dim: accepted dim {trace.dim} ")
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
 

@@ -396,29 +396,33 @@ def test_apply_helpers_match_matrix_products():
 
 def test_converge_dim_tracks_coherent_occupation():
     alpha = 2.0
+    built = []
 
     def builder(dim: int) -> float:
+        built.append(dim)
         pops = np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * np.arange(dim))
         pops /= factorials(dim)
         return float(np.arange(dim) @ pops)
 
-    figures, dim = converge_dim(builder, start_dim=8, rel_tol=1e-10)
-    assert abs(figures[0] - abs(alpha) ** 2) < 1e-8
+    occupation, dim = converge_dim(builder, lambda n: n, start_dim=8)
+    assert abs(occupation - abs(alpha) ** 2) < 1e-8
     assert dim % 8 == 0 and dim > 8
+    # each dim is built once, and the accepted build is returned, not rebuilt
+    assert built == [8 * 2**i for i in range(len(built))] and built[-1] == dim
 
 
 def test_converge_dim_passes_nan_sentinels():
     def builder(dim: int) -> np.ndarray:
         return np.array([np.nan, 1.0])
 
-    figures, dim = converge_dim(builder, start_dim=16)
+    figures, dim = converge_dim(builder, lambda f: f, start_dim=16)
     assert np.isnan(figures[0]) and figures[1] == 1.0
     assert dim == 32
 
 
 def test_converge_dim_raises_without_convergence():
     with pytest.raises(TruncationError):
-        converge_dim(lambda d: float(d), start_dim=16, max_dim=128)
+        converge_dim(lambda d: float(d), lambda f: f, start_dim=16, max_dim=128)
 
 
 def test_identity_factory():

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import logging
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from kerrsense import dynamics, fock, harness
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
-from kerrsense.dynamics import HamiltonianParams, evolve_unitary
-from kerrsense.fock import QuantumState
+from kerrsense.dynamics import HamiltonianParams, evolve_unitary, squeezing_trace
+from kerrsense.fock import AUTO_DIM_RTOL, QuantumState
 from kerrsense.harness import (
     CSV_COLUMNS,
+    FIG1_TRACE_EPSILON,
     ScalingFit,
     ScalingFitError,
     SensitivityOrderingError,
@@ -128,6 +130,72 @@ def test_evaluate_point_auto_dim_is_converged():
     again = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.2, dim=2 * row.dim)
     for name in ("n_mean", "v_min", "chi2inv_1", "f_q", "chi2inv_mai"):
         assert getattr(row, name) == pytest.approx(getattr(again, name), rel=1e-6)
+
+
+def _fig1_k0_trace(monkeypatch):
+    p = HamiltonianParams(epsilon=FIG1_TRACE_EPSILON)
+    t_grid = np.linspace(0.0, 0.5, 51)
+    return dynamics.initial_dim(p, 0.5), lambda d: squeezing_trace(p, t_grid, dim=d).v_min
+
+
+def _lossless_point(monkeypatch):
+    point = (0.0, 2.0, 1.0, 0.0, 0.5)
+    start = dynamics.initial_dim(HamiltonianParams(0.0, 2.0, 1.0), 0.5)
+    return start, lambda d: harness._row_figures(evaluate_point(*point, dim=d))
+
+
+def _lossy_group(monkeypatch):
+    monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 16)
+    cfg = ExperimentConfig("custom", (0.0,), (0.2,), (1.0,), (0.1,), (0.3, 0.15), (0.0, 0.5))
+
+    def figures(d):
+        return np.concatenate([harness._row_figures(r) for r in run_custom(cfg, dim=d).rows])
+
+    return 16, figures
+
+
+def _scaling_epsilon(monkeypatch):
+    kt = tuple(np.linspace(0.0, 1.0, 201))
+    cfg = ExperimentConfig("scaling", (0.0,), (2.0,), (1.0,), (0.0,), kt, (0.0,))
+
+    def figures(d):
+        result = run_scaling(cfg, dim=d)
+        return np.array([result.fits[0].a] + [r.f_q for r in result.rows])
+
+    return dynamics.initial_dim(HamiltonianParams(0.0, 2.0, 1.0), 1.0), figures
+
+
+def _echo(monkeypatch):
+    # free squeezing, where the start depends on max(t, reversal_time)
+    p = HamiltonianParams(epsilon=1.0)
+    start = dynamics.initial_dim(p, 0.6)
+    return start, lambda d: mai_sensitivity(p, 0.3, reversal_time=0.6, dim=d).value
+
+
+AUTO_DIM_ENTRY_POINTS = {
+    "fig1-k0-trace": _fig1_k0_trace,
+    "lossless-point": _lossless_point,
+    "lossy-group": _lossy_group,
+    "scaling-epsilon": _scaling_epsilon,
+    "echo": _echo,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(AUTO_DIM_ENTRY_POINTS))
+def test_every_auto_dim_result_has_one_policy(monkeypatch, caplog, entry):
+    # every auto-dim entry point starts its ladder at dynamics.initial_dim and
+    # what it reports at the accepted dim agrees with 2 x that dim
+    start, figures = AUTO_DIM_ENTRY_POINTS[entry](monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
+        auto = figures(None)
+    messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.fock"]
+    assert messages[0] == f"converge_dim: tried dim {start}"
+    accepted = [m for m in messages if m.startswith("converge_dim: accepted dim ")]
+    assert len(accepted) == 1
+    dim = int(accepted[0].split()[3])
+    if entry == "fig1-k0-trace":
+        assert (start, dim) == (144, 2304)
+    np.testing.assert_allclose(auto, figures(2 * dim), rtol=AUTO_DIM_RTOL)
 
 
 def test_auto_dim_is_the_same_with_k3(monkeypatch):
@@ -398,7 +466,7 @@ def test_group_is_one_pass_per_dim(monkeypatch, experiment):
     # lossless and lossy alike; the Kt axis is unsorted and non-uniform, with
     # 0 and a repeated value, and from Kt 0.35 on the lossless echo beats the
     # linear readout, as the fig3 ordering check requires
-    monkeypatch.setattr(harness, "_initial_dim", lambda *args: 16)
+    monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 16)
     kt = (0.5, 0.0, 0.6, 0.5, 0.35)
     cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.0, 0.1), kt, (0.0, 0.5))
     flags = {"with_k2": True} if experiment == "custom" else {}
@@ -498,6 +566,47 @@ def test_run_wigner_single_snapshot():
     assert snap.name == "state"
     assert snap.w.shape == (21, 21)
     assert np.all(np.isfinite(snap.w))
+
+
+SNAPSHOT_GRID = PhaseGrid(x_range=(-6.0, 6.0), p_range=(-6.0, 6.0), nx=11, np=11)
+SNAPSHOT_PATHS = {
+    # name: (point (delta, epsilon, kerr, gamma, kt), snapshots at a dim)
+    "wigner": (
+        (0.0, 2.0, 1.0, 0.0, 0.4),
+        lambda d: run_wigner(
+            ExperimentConfig("wigner", (0.0,), (2.0,), (1.0,), (0.0,), (0.4,), (0.0,)),
+            dim=d,
+            grid=SNAPSHOT_GRID,
+        ).snapshots,
+    ),
+    "fig3": (
+        (0.0, 0.5, 1.0, harness.SNAPSHOT_GAMMA, harness.SNAPSHOT_KT),
+        lambda d: harness._fig3_snapshots(0.0, 0.5, 1.0, d, SNAPSHOT_GRID),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SNAPSHOT_PATHS))
+def test_auto_dim_snapshots_keep_the_probe_dim(monkeypatch, caplog, path):
+    # the prepared state accepts the dim of its point's row without the echo,
+    # and the snapshots are the fixed-dim ones at that dim (a weakly squeezed
+    # point from dim 16 keeps the lossy ladder cheap)
+    monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 16)
+    point, snapshots = SNAPSHOT_PATHS[path]
+    with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
+        auto = snapshots(None)
+    accepted = [
+        r.getMessage() for r in caplog.records
+        if r.getMessage().startswith("converge_dim: accepted dim ")
+    ]
+    assert len(accepted) == 1
+    dim = int(accepted[0].split()[3])
+    assert dim == evaluate_point(*point, dim=None, with_mai=False).dim
+    fixed = snapshots(dim)
+    assert [s.name for s in auto] == [s.name for s in fixed]
+    for a, b in zip(auto, fixed):
+        np.testing.assert_array_equal(a.w, b.w)
+        assert (a.phi_opt, a.theta_opt) == (b.phi_opt, b.theta_opt)
 
 
 def test_run_experiment_dispatches():
