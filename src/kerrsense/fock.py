@@ -260,9 +260,14 @@ class QuantumState:
 
 
 def tail_populations(populations: np.ndarray, fraction: float = TAIL_FRACTION):
-    """Population of the top `fraction` of levels, per column for a block."""
+    """Population of the top `fraction` of levels, per column for a block.
+
+    The window holds at least two levels, one of each parity: a single top
+    level reads 0 for a state in the other parity sector (the vacuum under H
+    stays even), however close to the edge that state reaches.
+    """
     dim = populations.shape[0]
-    n_tail = max(1, math.ceil(fraction * dim))
+    n_tail = max(2, math.ceil(fraction * dim))
     return populations[dim - n_tail:].sum(axis=0)
 
 

@@ -15,6 +15,8 @@ all of the group's times at once (one GEMM without loss, one chained Lindblad
 pass with it), and under loss the echo readouts evolve once backwards.  Its
 dimension is doubled over whole passes until the row at the largest Kt, where
 the state support is widest, is stable.  A single point is the one-point group.
+Every row keeps the state its figures came from (SweepRow.state), so the
+Wigner snapshots read the state of a row instead of evolving it again.
 
 Time convention: the ``kt`` grid value means K*t when kerr > 0 and the bare
 evolution time when kerr = 0, so ideal-squeezing reference rows remain
@@ -91,8 +93,6 @@ SNAPSHOT_DISPLACEMENT = 1.0  # quadrature displacement, chosen to be visible
 # so the snapshot grid is wider than the general-purpose default.
 SNAPSHOT_GRID = PhaseGrid(x_range=(-6.0, 6.0), p_range=(-6.0, 6.0), nx=201, np=201)
 
-SQL = metrology.STANDARD_QUANTUM_LIMIT
-
 
 class ScalingFitError(RuntimeError):
     """The F_Q(N) series cannot support the requested slope fit."""
@@ -128,7 +128,7 @@ class SweepRow:
     sigma2: float = 0.0
     t_opt: float | None = None
     gap: float | None = None
-    sql: float = SQL
+    state: QuantumState | None = field(default=None, repr=False, compare=False)
 
     def column_values(self) -> list:
         return [
@@ -195,13 +195,13 @@ def _state_rows(
     state: QuantumState,
     echo: tuple[np.ndarray, np.ndarray] | None,
     sigma2s,
-    with_linear: bool = True,
     with_k2: bool = False,
     with_k3: bool = False,
     with_qfi: bool = True,
 ) -> list[SweepRow]:
-    """One row per sigma2 for a prepared state; echo is its (r, cov) echo
-    response (metrology.echo_responses), or None to leave chi2inv_mai out."""
+    """One row per sigma2 for a prepared state, which every row keeps; echo is
+    its (r, cov) echo response (metrology.echo_responses), or None to leave
+    chi2inv_mai out."""
     _, _, n_mean = fock.ladder_moments(state)
     v_min, _ = dynamics.min_variance(state)
     chi2inv_2 = metrology.moment_sensitivity(state, 2).value if with_k2 else None
@@ -222,10 +222,9 @@ def _state_rows(
             chi2inv_3=chi2inv_3,
             f_q=f_q,
             sigma2=sigma2,
+            state=state,
         )
-        if with_linear:
-            noise = DetectionNoise(sigma2)
-            row.chi2inv_1 = metrology.noisy_linear_sensitivity(state, noise).value
+        row.chi2inv_1 = metrology.noisy_linear_sensitivity(state, DetectionNoise(sigma2)).value
         if echo is not None:
             rep = metrology.readout_optimum(*echo, sigma2)
             row.chi2inv_mai = rep.value
@@ -460,30 +459,6 @@ def _check_lossless_ordering(rows: list[SweepRow], slack: float = 1e-6) -> None:
             )
 
 
-def _prepared_state(
-    delta: float, epsilon: float, kerr: float, gamma: float, kt: float, dim: int | None
-) -> QuantumState:
-    """The vacuum evolved to kt.  dim=None converges the dimension on the
-    figures of the point's row without the echo, so it accepts the dim of
-    evaluate_point(..., dim=None, with_mai=False)."""
-    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    loss = LossParams(gamma)
-    t = _time_of(kerr, kt)
-
-    def build(d: int) -> QuantumState:
-        (state,) = dynamics.evolve_vacuum(d, p, loss, [t])
-        return state
-
-    if dim is not None:
-        return build(dim)
-
-    def figures(state: QuantumState) -> np.ndarray:
-        (row,) = _state_rows(delta, epsilon, kerr, gamma, kt, state, None, [0.0])
-        return _row_figures(row)
-
-    return fock.converge_dim(build, figures, dynamics.initial_dim(p, t))[0]
-
-
 def _snapshot(
     name: str, state: QuantumState, report: metrology.SensitivityReport, grid: PhaseGrid
 ) -> WignerSnapshot:
@@ -497,25 +472,21 @@ def _snapshot(
     )
 
 
-def _fig3_snapshots(
-    delta: float,
-    epsilon: float,
-    kerr: float,
-    dim: int | None,
-    grid: PhaseGrid,
-) -> list[WignerSnapshot]:
-    """Phase-space views of the echo protocol: prepared, displaced, reversed."""
-    gamma = SNAPSHOT_GAMMA * kerr
-    prepared = _prepared_state(delta, epsilon, kerr, gamma, SNAPSHOT_KT, dim)
+def _fig3_snapshots(row: SweepRow, grid: PhaseGrid) -> list[WignerSnapshot]:
+    """Phase-space views of the echo protocol at a row: its prepared state,
+    that state displaced, and the displaced state reversed for the row's Kt."""
+    prepared = row.state
     report = metrology.linear_sensitivity(prepared)
     alpha = -1j * SNAPSHOT_DISPLACEMENT * cmath.exp(1j * report.phi_opt) / math.sqrt(2.0)
     d_op = fock.displacement(prepared.dim, alpha).matrix
     displaced = QuantumState.from_density_matrix(
         d_op @ prepared.density_matrix() @ d_op.conj().T
     )
-    p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    t = _time_of(kerr, SNAPSHOT_KT)
-    reversed_state = dynamics.evolve_lindblad(displaced, p, LossParams(gamma), t, reverse=True)
+    p = HamiltonianParams(delta=row.delta, epsilon=row.epsilon, kerr=row.kerr)
+    t = _time_of(row.kerr, row.kt)
+    reversed_state = dynamics.evolve_lindblad(
+        displaced, p, LossParams(row.gamma), t, reverse=True
+    )
     return [
         _snapshot("prepared", prepared, report, grid),
         _snapshot("displaced", displaced, report, grid),
@@ -535,7 +506,9 @@ def run_fig3(
 
     Lossless rows must satisfy chi^-2 <= chi^-2_MAI <= F_Q (1e-6 slack);
     snapshots are taken at Kt = 0.4, gamma/K = 0.1 regardless of the gamma
-    axis, matching the protocol illustration.
+    axis, matching the protocol illustration.  Their prepared state is the
+    sweep's own row at that point when the sweep has one; otherwise it is
+    the point's row without the echo, converged at that point.
     """
     delta = cfg.delta[0]
     epsilon = cfg.epsilon[0]
@@ -543,19 +516,19 @@ def run_fig3(
     sigma2 = cfg.sigma2[0]
     flags = {"with_k3": with_k3}
     rows: list[SweepRow] = []
-    snapshot_dim = dim
     for gamma in cfg.gamma:
-        group_rows = _group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim, **flags)
-        if gamma > 0.0 and gamma == SNAPSHOT_GAMMA * kerr:
-            snapshot_dim = group_rows[0].dim
-        rows.extend(group_rows)
+        rows.extend(_group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim, **flags))
     _check_lossless_ordering(rows)
-    snaps = (
-        _fig3_snapshots(delta, epsilon, kerr, snapshot_dim, snapshot_grid)
-        if snapshots
-        else None
+    if not snapshots:
+        return SweepResult(experiment="fig3", rows=rows)
+    gamma = SNAPSHOT_GAMMA * kerr
+    swept = (r for r in rows if r.gamma == gamma and math.isclose(r.kt, SNAPSHOT_KT))
+    row = next(swept, None)
+    if row is None:
+        row = evaluate_point(delta, epsilon, kerr, gamma, SNAPSHOT_KT, dim=dim, with_mai=False)
+    return SweepResult(
+        experiment="fig3", rows=rows, snapshots=_fig3_snapshots(row, snapshot_grid)
     )
-    return SweepResult(experiment="fig3", rows=rows, snapshots=snaps)
 
 
 def _first_maximum(values: np.ndarray) -> int | None:
@@ -741,7 +714,7 @@ def run_wigner(
 ) -> SweepResult:
     """Wigner snapshot of one prepared state with its optimal angles."""
     point = (cfg.delta[0], cfg.epsilon[0], cfg.kerr[0], cfg.gamma[0], cfg.kt[0])
-    state = _prepared_state(*point, dim)
+    state = evaluate_point(*point, dim=dim, with_mai=False).state
     snapshot = _snapshot("state", state, metrology.linear_sensitivity(state), grid)
     return SweepResult(experiment="wigner", rows=[], snapshots=[snapshot])
 

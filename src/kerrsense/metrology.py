@@ -412,28 +412,19 @@ def echo_responses(
     p: dynamics.HamiltonianParams,
     loss: dynamics.LossParams,
     reversal_times: list[float],
-    method: str = "auto",
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Echo responses (r, cov) of prepared states, for readout_optimum.
 
     Each state is displaced, evolves for its reversal time under -H with the
     loss dissipator, and a linear quadrature is measured. Both routes are
-    exact: method "operator" uses the evolved measurement (pure states,
-    lossless only), "derivative" the Heisenberg-picture readouts, evolved
-    once for all states; "auto" takes the operator route when every state is
-    pure and there is no loss.
+    exact: pure states without loss take the evolved measurement
+    (_mai_operator_route), everything else the Heisenberg-picture readouts,
+    evolved once for all states (_mai_derivative_route).
     """
-    if method == "auto":
-        lossless_pure = loss.gamma == 0.0 and all(s.is_pure for s in states)
-        method = "operator" if lossless_pure else "derivative"
-    if method == "operator":
-        if loss.gamma != 0.0:
-            raise ValueError("operator route is only valid for lossless evolution")
+    if loss.gamma == 0.0 and all(s.is_pure for s in states):
         return [_mai_operator_route(s.ket, p, tau) for s, tau in zip(states, reversal_times)]
-    if method == "derivative":
-        rhos = [s.density_matrix() for s in states]
-        return _mai_derivative_route(rhos, p, reversal_times, loss)
-    raise ValueError(f"unknown echo method {method!r}")
+    rhos = [s.density_matrix() for s in states]
+    return _mai_derivative_route(rhos, p, reversal_times, loss)
 
 
 def mai_sensitivity(
@@ -443,15 +434,14 @@ def mai_sensitivity(
     noise: DetectionNoise | None = None,
     reversal_time: float | None = None,
     dim: int | None = None,
-    method: str = "auto",
 ) -> SensitivityReport:
     """Echo-protocol sensitivity for the state prepared from the vacuum.
 
     The state evolves for time t under (p, loss) and then goes through
-    echo_responses with reversal_time (default t) and method. dim=None
-    converges the Fock dimension on the echo figure, by the one policy of
-    every auto-dim result (fock.converge_dim from dynamics.initial_dim at
-    max(t, reversal_time)).
+    echo_responses with reversal_time (default t). dim=None converges the
+    Fock dimension on the echo figure, by the one policy of every auto-dim
+    result (fock.converge_dim from dynamics.initial_dim at max(t,
+    reversal_time)).
     """
     loss = loss if loss is not None else dynamics.LossParams(0.0)
     t_rev = reversal_time if reversal_time is not None else t
@@ -459,7 +449,7 @@ def mai_sensitivity(
 
     def run(d: int) -> SensitivityReport:
         (state,) = dynamics.evolve_vacuum(d, p, loss, [t])
-        ((r, cov),) = echo_responses([state], p, loss, [t_rev], method)
+        ((r, cov),) = echo_responses([state], p, loss, [t_rev])
         return readout_optimum(r, cov, sigma2)
 
     if dim is not None:

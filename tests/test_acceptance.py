@@ -73,7 +73,7 @@ def test_criterion_01_ideal_squeezing_law():
     for t in (0.05, 0.1, 0.2, 0.25):
         row = evaluate_point(
             0.0, 2.0, 0.0, 0.0, t, dim=None,
-            with_linear=False, with_qfi=False, with_mai=False,
+            with_qfi=False, with_mai=False,
         )
         law = 0.5 * math.exp(-8.0 * t)
         rel = abs(row.v_min - law) / law

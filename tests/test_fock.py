@@ -247,7 +247,8 @@ def test_from_ket_validation():
 
 def test_from_density_matrix_validation():
     good = np.diag([0.6, 0.4, 0.0]).astype(complex)
-    QuantumState.from_density_matrix(good)
+    with pytest.warns(TruncationWarning):  # the top two levels hold 0.4
+        QuantumState.from_density_matrix(good)
     bad_herm = good.copy()
     bad_herm[0, 1] = 0.1
     with pytest.raises(ValueError):

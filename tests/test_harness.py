@@ -12,7 +12,7 @@ from kerrsense import dynamics, fock, harness
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
 from kerrsense.dynamics import HamiltonianParams, evolve_unitary, squeezing_trace
-from kerrsense.fock import AUTO_DIM_RTOL, QuantumState
+from kerrsense.fock import AUTO_DIM_RTOL, QuantumState, TruncationError, TruncationWarning
 from kerrsense.harness import (
     CSV_COLUMNS,
     FIG1_TRACE_EPSILON,
@@ -37,7 +37,7 @@ from kerrsense.harness import (
     run_wigner,
 )
 from kerrsense.metrology import linear_sensitivity, mai_sensitivity
-from kerrsense.wigner import PhaseGrid
+from kerrsense.wigner import PhaseGrid, wigner
 
 
 def _row(**overrides) -> SweepRow:
@@ -235,6 +235,13 @@ def test_lossy_point_propagates_four_lindblad_columns(monkeypatch):
     assert row.status == "ok" and row.chi2inv_mai > 0.0
     assert sum(columns for _, columns in calls) == 4
     assert all(rows == dim * dim // 2 for rows, _ in calls)
+
+
+def test_small_even_dim_tail_sees_the_even_sector():
+    # the vacuum under H stays in the even sector, so a tail window of only
+    # the top level of dim 8 (odd) would read 0 while 3.3e-2 sits in level 6
+    with pytest.warns(TruncationWarning), pytest.raises(TruncationError):
+        evaluate_point(0.0, 2.0, 1.0, 0.0, 0.3, dim=8)
 
 
 def test_lossy_group_work_is_one_pass(monkeypatch):
@@ -569,44 +576,80 @@ def test_run_wigner_single_snapshot():
 
 
 SNAPSHOT_GRID = PhaseGrid(x_range=(-6.0, 6.0), p_range=(-6.0, 6.0), nx=11, np=11)
+SNAPSHOT_POINT = (0.0, 0.5, 1.0, harness.SNAPSHOT_GAMMA, harness.SNAPSHOT_KT)
+
+
+def _fig3_config(gamma, kt):
+    return ExperimentConfig("fig3", (0.0,), (0.5,), (1.0,), gamma, kt, (0.0,))
+
+
 SNAPSHOT_PATHS = {
-    # name: (point (delta, epsilon, kerr, gamma, kt), snapshots at a dim)
+    # name: (first dim, config, the prepared state's point, or None when it
+    # is the swept row at Kt 0.4).  A weakly squeezed fig3 point from dim 16
+    # keeps the lossy ladder cheap; the epsilon 2 wigner point starts at 32,
+    # since at 16 its top two levels hold 2.5e-7 and warn.
     "wigner": (
+        32,
+        ExperimentConfig("wigner", (0.0,), (2.0,), (1.0,), (0.0,), (0.4,), (0.0,)),
         (0.0, 2.0, 1.0, 0.0, 0.4),
-        lambda d: run_wigner(
-            ExperimentConfig("wigner", (0.0,), (2.0,), (1.0,), (0.0,), (0.4,), (0.0,)),
-            dim=d,
-            grid=SNAPSHOT_GRID,
-        ).snapshots,
     ),
-    "fig3": (
-        (0.0, 0.5, 1.0, harness.SNAPSHOT_GAMMA, harness.SNAPSHOT_KT),
-        lambda d: harness._fig3_snapshots(0.0, 0.5, 1.0, d, SNAPSHOT_GRID),
-    ),
+    "fig3": (16, _fig3_config((0.0,), (0.4,)), SNAPSHOT_POINT),
+    "fig3-swept": (16, _fig3_config((0.1,), (0.2, 0.4)), None),
 }
 
 
 @pytest.mark.parametrize("path", sorted(SNAPSHOT_PATHS))
 def test_auto_dim_snapshots_keep_the_probe_dim(monkeypatch, caplog, path):
-    # the prepared state accepts the dim of its point's row without the echo,
-    # and the snapshots are the fixed-dim ones at that dim (a weakly squeezed
-    # point from dim 16 keeps the lossy ladder cheap)
-    monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 16)
-    point, snapshots = SNAPSHOT_PATHS[path]
+    # the prepared state is the swept row's, at the group's dim; without such
+    # a row it accepts the dim of its point's row without the echo.  Either
+    # way the snapshots are the fixed-dim ones at that dim.
+    start, cfg, point = SNAPSHOT_PATHS[path]
+    monkeypatch.setattr(dynamics, "initial_dim", lambda *args: start)
+
+    def run(dim):
+        if cfg.experiment == "wigner":
+            return run_wigner(cfg, dim=dim, grid=SNAPSHOT_GRID)
+        return run_fig3(cfg, dim=dim, snapshot_grid=SNAPSHOT_GRID)
+
     with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
-        auto = snapshots(None)
+        auto = run(None)
     accepted = [
-        r.getMessage() for r in caplog.records
+        int(r.getMessage().split()[3]) for r in caplog.records
         if r.getMessage().startswith("converge_dim: accepted dim ")
     ]
-    assert len(accepted) == 1
-    dim = int(accepted[0].split()[3])
-    assert dim == evaluate_point(*point, dim=None, with_mai=False).dim
-    fixed = snapshots(dim)
-    assert [s.name for s in auto] == [s.name for s in fixed]
-    for a, b in zip(auto, fixed):
+    if point is None:
+        (row,) = [r for r in auto.rows if r.kt == cfg.kt[-1]]
+        assert accepted == [row.dim]
+    else:
+        # one convergence per swept one-row group, then the prepared state's
+        assert len(accepted) == len(auto.rows) + 1
+        assert accepted[-1] == evaluate_point(*point, dim=None, with_mai=False).dim
+    fixed = run(accepted[-1])
+    assert [s.name for s in auto.snapshots] == [s.name for s in fixed.snapshots]
+    for a, b in zip(auto.snapshots, fixed.snapshots):
         np.testing.assert_array_equal(a.w, b.w)
         assert (a.phi_opt, a.theta_opt) == (b.phi_opt, b.theta_opt)
+
+
+def test_fig3_snapshots_read_the_swept_state(monkeypatch):
+    # the prepared snapshot is the sweep's own row at Kt 0.4, so the
+    # snapshots add only the reversal of the displaced state: one column per
+    # parity block
+    cfg = _fig3_config((0.1,), (0.2, 0.4))
+    apply = dynamics._lindblad_apply
+    columns = []
+
+    def counting(lv, block, t, *args, **kwargs):
+        columns.append(block.shape[1] if block.ndim == 2 else 1)
+        return apply(lv, block, t, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_lindblad_apply", counting)
+    bare = run_fig3(cfg, dim=32, snapshots=False)
+    swept_columns = sum(columns)
+    res = run_fig3(cfg, dim=32, snapshot_grid=SNAPSHOT_GRID)
+    assert res.rows == bare.rows
+    assert sum(columns) - 2 * swept_columns == 2
+    np.testing.assert_array_equal(res.snapshots[0].w, wigner(res.rows[1].state, SNAPSHOT_GRID))
 
 
 def test_run_experiment_dispatches():

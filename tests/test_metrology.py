@@ -357,9 +357,12 @@ def test_moment_report_directions():
 def test_mai_operator_and_derivative_routes_agree(kt, sigma2):
     # both routes are exact, so at gamma = 0 they agree to rounding
     p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
-    noise = DetectionNoise(sigma2)
-    op = mai_sensitivity(p, kt, loss=None, noise=noise, dim=48, method="operator")
-    dv = mai_sensitivity(p, kt, loss=LossParams(0.0), noise=noise, dim=48, method="derivative")
+    (state,) = dynamics.evolve_vacuum(48, p, LossParams(0.0), [kt])
+    op = metrology.readout_optimum(*metrology._mai_operator_route(state.ket, p, kt), sigma2)
+    ((r, cov),) = metrology._mai_derivative_route(
+        [state.density_matrix()], p, [kt], LossParams(0.0)
+    )
+    dv = metrology.readout_optimum(r, cov, sigma2)
     assert op.status == "ok" and dv.status == "ok"
     assert abs(op.value - dv.value) < 1e-12 * op.value
     assert abs(op.theta_opt - dv.theta_opt) % math.pi < 1e-9
@@ -450,19 +453,6 @@ def test_mai_reversal_time_defaults_to_t():
     imp = mai_sensitivity(p, 0.3, dim=48)
     exp = mai_sensitivity(p, 0.3, reversal_time=0.3, dim=48)
     assert imp.value == exp.value
-
-
-def test_mai_operator_route_rejects_loss():
-    with pytest.raises(ValueError):
-        mai_sensitivity(
-            HamiltonianParams(epsilon=2.0, kerr=1.0),
-            0.3,
-            loss=LossParams(0.1),
-            dim=48,
-            method="operator",
-        )
-    with pytest.raises(ValueError):
-        mai_sensitivity(HamiltonianParams(epsilon=2.0, kerr=1.0), 0.3, dim=48, method="rk45")
 
 
 def test_mai_lossy_respects_cramer_rao():
