@@ -273,6 +273,60 @@ def test_lindblad_parity_blocks(reverse, transposed):
         np.testing.assert_allclose(got, one_shot, rtol=0, atol=1e-12)
 
 
+def _echo_readout_block(dim: int) -> np.ndarray:
+    # the a, a^2 and a^dag a echo readouts as vec(A^T) columns, scaled nine
+    # decades apart: each column is held to its own size
+    a = fock.annihilation(dim).matrix
+    readouts = (a, a @ a, a.conj().T @ a)
+    scales = (1.0, 1e-6, 1e3)
+    return np.stack([s * r.T.reshape(-1) for s, r in zip(scales, readouts)], axis=1)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.4])
+@pytest.mark.parametrize("reverse, transposed", [(False, False), (True, True)])
+def test_lindblad_apply_matches_dense_expm_per_column(reverse, transposed, dt):
+    # each parity block against its own dense exponential at the fig3 step
+    # (0.1) and at the snapshot reversal (0.4); a readout that vanishes on a
+    # block must stay exactly zero
+    dim = 24
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    blocks = dynamics.liouvillian_blocks(dim, p, LossParams(0.1), reverse, transposed)
+    readouts = _echo_readout_block(dim)
+    for idx, lv in zip(dynamics._parity_indices(dim), blocks):
+        block = readouts[idx]
+        dense = lv.matrix.toarray() + lv.shift * np.eye(lv.shape[0])
+        expected = scipy.linalg.expm(dense * dt) @ block
+        got = dynamics._lindblad_apply(lv, block, dt)
+        for k in range(block.shape[1]):
+            if not block[:, k].any():
+                assert not got[:, k].any()
+                continue
+            err = np.max(np.abs(got[:, k] - expected[:, k])) / np.max(np.abs(expected[:, k]))
+            assert err < 1e-12, (k, err)
+
+
+def test_lindblad_apply_is_deterministic():
+    # (m, s) come from t ||A||_1 alone: no norm estimate, no random draws
+    dim = 24
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    even, _ = dynamics.liouvillian_blocks(dim, p, LossParams(0.1), True, True)
+    block = _echo_readout_block(dim)[dynamics._parity_indices(dim)[0]]
+    first = dynamics._lindblad_apply(even, block, 0.4)
+    np.testing.assert_array_equal(dynamics._lindblad_apply(even, block, 0.4), first)
+
+
+def test_taylor_parameters_minimise_matvecs():
+    # t ||A||_1 of a dim-48 fig3 block over one 0.1 step: degree 55, 23 steps
+    assert dynamics._taylor_parameters(226.4) == (55, 23)
+    assert dynamics._taylor_parameters(0.0) == (5, 1)
+    for norm in (1e-3, 0.5, 3.0, 40.0, 1e4):
+        m, s = dynamics._taylor_parameters(norm)
+        assert norm / s <= dynamics.TAYLOR_THETA[m]
+        assert all(
+            m * s <= mm * math.ceil(norm / theta) for mm, theta in dynamics.TAYLOR_THETA.items()
+        )
+
+
 def test_lindblad_trajectory_rejects_unsorted_times():
     rho = QuantumState.vacuum(8).density_matrix().reshape(-1)
     with pytest.raises(ValueError):

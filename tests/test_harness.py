@@ -4,6 +4,10 @@ import functools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,13 @@ import pytest
 from kerrsense import dynamics, fock, harness
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
-from kerrsense.dynamics import HamiltonianParams, evolve_unitary, squeezing_trace
+from kerrsense.dynamics import (
+    HamiltonianParams,
+    LossParams,
+    evolve_lindblad,
+    evolve_unitary,
+    squeezing_trace,
+)
 from kerrsense.fock import AUTO_DIM_RTOL, QuantumState, TruncationError, TruncationWarning
 from kerrsense.harness import (
     CSV_COLUMNS,
@@ -235,6 +245,25 @@ def test_lossy_point_propagates_four_lindblad_columns(monkeypatch):
     assert row.status == "ok" and row.chi2inv_mai > 0.0
     assert sum(columns for _, columns in calls) == 4
     assert all(rows == dim * dim // 2 for rows, _ in calls)
+
+
+def test_lossy_evolution_leaves_the_global_rng_alone():
+    # the library draws no random numbers, so a caller's numpy.random
+    # sequence is the same with or without a lossy evolution in between
+    def unchanged(before):
+        after = np.random.get_state()
+        return (
+            after[0] == before[0]
+            and np.array_equal(after[1], before[1])
+            and after[2:] == before[2:]
+        )
+
+    before = np.random.get_state()
+    evolve_lindblad(QuantumState.vacuum(32), HamiltonianParams(0.0, 2.0, 1.0), LossParams(0.1), 0.3)
+    assert unchanged(before)
+    row = evaluate_point(0.0, 2.0, 1.0, 0.1, 0.4, dim=32)
+    assert row.status == "ok"
+    assert unchanged(before)
 
 
 def test_small_even_dim_tail_sees_the_even_sector():
@@ -777,3 +806,16 @@ def test_cli_config_errors_are_exit_2(tmp_path, capsys):
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["fig9"])
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # the Lindblad propagator is the package's own, so no CLI path needs
+    # scipy.sparse.linalg; a fresh interpreter shows what the import pulls in
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = "import sys, kerrsense.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
