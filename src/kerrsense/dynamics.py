@@ -21,6 +21,10 @@ the truncated Taylor series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 count m * s subject to t ||L - mu I||_1 / s <= theta_m, with theta_m from the
 paper's Table 3.1 for double precision.  (m, s) depend only on t and the
 block, so the propagation estimates no norms and draws no random numbers.
+
+The public evolutions (evolve_unitary, evolve_lindblad, evolve_vacuum) put
+their results through fock.check_tail; builders for fock.at_dim use the
+unchecked vacuum_states.
 """
 from __future__ import annotations
 
@@ -35,18 +39,18 @@ from scipy.linalg import eigh_tridiagonal
 from .fock import (
     Operator,
     QuantumState,
-    TruncationError,
+    at_dim,
     check_dim,
-    converge_dim,
+    check_tail,
     covariance_from_moments,
     ket_ladder_moments,
     normalized_kets,
     quadrature_covariance,
     tail_populations,
-    warn_tail,
 )
 
-EVOLUTION_TAIL_ERROR = 1e-3
+OPTIMUM_GRID_POINTS = 200  # optimal_squeezing's bracketing scan
+OPTIMUM_REL_TOL = 1e-4  # and its golden-section tolerance
 
 
 class NoInteriorMinimumError(RuntimeError):
@@ -146,14 +150,10 @@ def propagator(dim: int, p: HamiltonianParams, t: float) -> Operator:
     return Operator(propagate(np.eye(check_dim(dim)), p, t))
 
 
-def _check_evolution_tail(state: QuantumState) -> QuantumState:
-    tail = state.tail_population()
-    if tail > EVOLUTION_TAIL_ERROR:
-        raise TruncationError(
-            f"evolution pushed population {tail:.3e} into the truncation tail "
-            f"(> {EVOLUTION_TAIL_ERROR}); increase dim"
-        )
-    return state
+def _checked(states: list[QuantumState]) -> list[QuantumState]:
+    """The states, after fock.check_tail of their largest tail."""
+    check_tail(max(s.tail_population() for s in states))
+    return states
 
 
 def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> QuantumState:
@@ -162,7 +162,7 @@ def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> Quant
         out = QuantumState.from_ket(propagate(state.data, p, t))
     else:
         out = QuantumState.from_density_matrix(propagate(state.data, p, t, density=True))
-    return _check_evolution_tail(out)
+    return _checked([out])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +343,18 @@ def lindblad_trajectory(
     return out.reshape((len(times),) + block.shape)
 
 
-def evolve_lindblad_grid(
+def _lindblad_states(
     state: QuantumState,
     p: HamiltonianParams,
     loss: LossParams,
     times,
     reverse: bool = False,
 ) -> list[QuantumState]:
-    """The state evolved to each of the non-decreasing times, in one chained
-    pass; every result gets the checks of evolve_lindblad."""
+    """The state evolved to each of the non-decreasing times in one chained pass."""
     rho0 = state.density_matrix().reshape(-1)
     evolved = lindblad_trajectory(rho0, p, loss, times, reverse=reverse)
     shape = (state.dim, state.dim)
-    return [
-        _check_evolution_tail(QuantumState.from_density_matrix(vec.reshape(shape)))
-        for vec in evolved
-    ]
+    return [QuantumState.from_density_matrix(vec.reshape(shape)) for vec in evolved]
 
 
 def evolve_lindblad(
@@ -374,20 +370,25 @@ def evolve_lindblad(
     """
     if t < 0:
         raise ValueError("Lindblad evolution requires t >= 0; use reverse=True for the echo")
-    return evolve_lindblad_grid(state, p, loss, [t], reverse=reverse)[0]
+    return _checked(_lindblad_states(state, p, loss, [t], reverse=reverse))[0]
+
+
+def vacuum_states(
+    dim: int, p: HamiltonianParams, loss: LossParams, times
+) -> list[QuantumState]:
+    """The vacuum evolved to each of the non-decreasing times: kets from one
+    even-sector GEMM when gamma = 0, else density matrices from one chained
+    Lindblad pass.  No truncation check: evolve_vacuum is the checked form."""
+    if loss.gamma > 0.0:
+        return _lindblad_states(QuantumState.vacuum(dim), p, loss, times)
+    return [QuantumState.from_ket(ket) for ket in vacuum_kets(p, times, dim).T]
 
 
 def evolve_vacuum(
     dim: int, p: HamiltonianParams, loss: LossParams, times
 ) -> list[QuantumState]:
-    """The vacuum evolved to each of the non-decreasing times: kets from one
-    even-sector GEMM when gamma = 0, else density matrices from one chained
-    Lindblad pass.  Every state gets the checks of evolve_unitary or
-    evolve_lindblad."""
-    if loss.gamma > 0.0:
-        return evolve_lindblad_grid(QuantumState.vacuum(dim), p, loss, times)
-    kets = vacuum_kets(p, times, dim)
-    return [_check_evolution_tail(QuantumState.from_ket(ket)) for ket in kets.T]
+    """vacuum_states, with the largest tail through fock.check_tail."""
+    return _checked(vacuum_states(dim, p, loss, times))
 
 
 # ---------------------------------------------------------------------------
@@ -490,33 +491,29 @@ def squeezing_trace(
 ) -> VacuumTrajectory:
     """Evolve the vacuum and record V_min(t), theta_opt(t) on t_grid.
 
-    dim=None converges the dimension (fock.converge_dim, from initial_dim at
-    the largest |t|) until the whole V_min trace is stable.  Warns
-    (TruncationWarning) when a ket of the returned trajectory holds more than
-    TAIL_THRESHOLD in its top levels.
+    dim=None converges the dimension (fock.at_dim, from initial_dim at the
+    largest |t|) until the whole V_min trace is stable.  The largest tail of
+    the returned trajectory goes through fock.check_tail.
     """
-    if dim is None:
-        start = initial_dim(p, float(np.max(np.abs(t_grid), initial=0.0)))
-        trajectory, _ = converge_dim(
-            lambda d: vacuum_trajectory(p, t_grid, d), lambda tr: tr.v_min, start
-        )
-    else:
-        trajectory = vacuum_trajectory(p, t_grid, dim)
-    warn_tail(float(np.max(trajectory.tail)), stacklevel=2)
-    return trajectory
+    return at_dim(
+        lambda d: vacuum_trajectory(p, t_grid, d),
+        lambda tr: tr.v_min,
+        lambda tr: float(np.max(tr.tail)),
+        dim,
+        initial_dim(p, float(np.max(np.abs(t_grid), initial=0.0))),
+    )
 
 
 def optimal_squeezing(
     p: HamiltonianParams,
     t_max: float | None = None,
     dim: int | None = None,
-    grid_points: int = 200,
-    refine_rel_tol: float = 1e-4,
 ) -> tuple[float, float]:
     """Locate the first interior minimum of V_min(t) from the vacuum.
 
-    Returns (chi2inv_opt, t_opt) with chi2inv_opt = 1 / V_min(t_opt); t_opt is
-    refined by golden-section search to the given relative tolerance. Raises
+    Returns (chi2inv_opt, t_opt) with chi2inv_opt = 1 / V_min(t_opt); the
+    minimum is bracketed on OPTIMUM_GRID_POINTS times in [0, t_max] and t_opt
+    refined by golden-section search to OPTIMUM_REL_TOL relative. Raises
     NoInteriorMinimumError when the scanned window has no interior minimum
     (kerr = 0: V_min decays monotonically).
     """
@@ -526,7 +523,7 @@ def optimal_squeezing(
                 "kerr = 0 gives monotonically decaying V_min; no interior optimum"
             )
         t_max = 1.0 / p.kerr
-    t_grid = np.linspace(0.0, t_max, grid_points)
+    t_grid = np.linspace(0.0, t_max, OPTIMUM_GRID_POINTS)
     trace = squeezing_trace(p, t_grid, dim=dim)
     v = trace.v_min
     idx = None
@@ -548,7 +545,7 @@ def optimal_squeezing(
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = vmin_at(c), vmin_at(d)
-    while (hi - lo) > refine_rel_tol * max(abs(hi + lo) / 2.0, 1e-12):
+    while (hi - lo) > OPTIMUM_REL_TOL * max(abs(hi + lo) / 2.0, 1e-12):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)

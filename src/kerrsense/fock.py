@@ -4,6 +4,11 @@ Everything lives on the number basis |0>, ..., |dim-1> as dense complex
 matrices. Quadrature convention: X = (a + a^dag)/sqrt(2) and
 P = -i(a - a^dag)/sqrt(2), so [X, P] = i away from the truncation edge and
 the vacuum has Var[X] = 1/2.
+
+Truncation: constructors only validate.  check_tail judges a result's tail
+(the population of its top TAIL_FRACTION of levels), and at_dim, the entry
+of every dim-dependent result, applies it once to the result it returns.
+coherent and thermal, cuts of infinite states, warn_tail when built.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-9
 TAIL_FRACTION = 0.05
 TAIL_THRESHOLD = 1e-8
+TAIL_ERROR = 1e-3
 VARIANCE_FLOOR = -1e-10
 # Every auto-dim result (converge_dim) is stable to this under a dim doubling;
 # well inside the 1e-5 the results are documented to hold at.
@@ -128,9 +134,8 @@ class QuantumState:
     """Pure ket or mixed density matrix on a truncated Fock space.
 
     Constructors validate normalisation (pure: unit norm within 1e-9; mixed:
-    unit trace within 1e-9, Hermitian within 1e-12, eigenvalues >= -1e-9) and
-    warn when the top TAIL_FRACTION of levels carries more than
-    TAIL_THRESHOLD population.
+    unit trace within 1e-9, Hermitian within 1e-12, eigenvalues >= -1e-9);
+    they do not judge truncation (see check_tail).
     """
 
     __slots__ = ("data", "dim", "kind")
@@ -142,7 +147,7 @@ class QuantumState:
         self.dim = dim
 
     @classmethod
-    def from_ket(cls, vec, check_tail: bool = True) -> "QuantumState":
+    def from_ket(cls, vec) -> "QuantumState":
         v = np.array(vec, dtype=complex).reshape(-1)
         check_dim(v.shape[0])
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
@@ -152,13 +157,10 @@ class QuantumState:
             raise ValueError(f"ket norm {norm!r} deviates from 1 beyond {PURE_NORM_TOL}")
         v = v / norm
         v.setflags(write=False)
-        state = cls(v, "pure", v.shape[0])
-        if check_tail:
-            state._warn_tail()
-        return state
+        return cls(v, "pure", v.shape[0])
 
     @classmethod
-    def from_density_matrix(cls, mat, check_tail: bool = True) -> "QuantumState":
+    def from_density_matrix(cls, mat) -> "QuantumState":
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
@@ -176,10 +178,7 @@ class QuantumState:
         if lo < EIG_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lo:.3e} below {EIG_FLOOR}")
         m.setflags(write=False)
-        state = cls(m, "mixed", m.shape[0])
-        if check_tail:
-            state._warn_tail()
-        return state
+        return cls(m, "mixed", m.shape[0])
 
     @classmethod
     def vacuum(cls, dim: int) -> "QuantumState":
@@ -196,8 +195,8 @@ class QuantumState:
 
     @classmethod
     def coherent(cls, dim: int, alpha: complex) -> "QuantumState":
-        """|alpha> cut to dim levels and renormalised; from_ket's tail check
-        measures the truncation."""
+        """|alpha> cut to dim levels and renormalised; warns (warn_tail) when
+        the cut leaves population in the top levels."""
         dim = check_dim(dim)
         alpha = complex(alpha)
         if alpha == 0:
@@ -209,7 +208,9 @@ class QuantumState:
         log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
         log_c = n * math.log(abs(alpha)) - log_fact / 2.0
         c = np.exp(log_c - log_c.max() + 1j * n * cmath.phase(alpha))
-        return cls.from_ket(c / np.linalg.norm(c))
+        state = cls.from_ket(c / np.linalg.norm(c))
+        warn_tail(state.tail_population())
+        return state
 
     @classmethod
     def thermal(cls, dim: int, n_thermal: float) -> "QuantumState":
@@ -222,7 +223,9 @@ class QuantumState:
         # the truncated space.
         q = n_thermal / (1.0 + n_thermal)
         w = q ** np.arange(dim)
-        return cls.from_density_matrix(np.diag(w / w.sum() + 0j))
+        state = cls.from_density_matrix(np.diag(w / w.sum() + 0j))
+        warn_tail(state.tail_population())
+        return state
 
     @property
     def is_pure(self) -> bool:
@@ -244,42 +247,46 @@ class QuantumState:
             return np.abs(self.data) ** 2
         return np.diag(self.data).real.copy()
 
-    def tail_population(self, fraction: float = TAIL_FRACTION) -> float:
-        return float(tail_populations(self.populations(), fraction))
+    def tail_population(self) -> float:
+        return float(tail_populations(self.populations()))
 
     def purity(self) -> float:
         if self.is_pure:
             return 1.0
         return float(np.sum(np.abs(self.data) ** 2))
 
-    def _warn_tail(self, threshold: float = TAIL_THRESHOLD) -> None:
-        warn_tail(self.tail_population(), threshold, stacklevel=3)
-
     def __repr__(self) -> str:
         return f"QuantumState(kind={self.kind!r}, dim={self.dim})"
 
 
-def tail_populations(populations: np.ndarray, fraction: float = TAIL_FRACTION):
-    """Population of the top `fraction` of levels, per column for a block.
+def tail_populations(populations: np.ndarray):
+    """Population of the top TAIL_FRACTION of levels, per column for a block.
 
     The window holds at least two levels, one of each parity: a single top
     level reads 0 for a state in the other parity sector (the vacuum under H
     stays even), however close to the edge that state reaches.
     """
     dim = populations.shape[0]
-    n_tail = max(2, math.ceil(fraction * dim))
+    n_tail = max(2, math.ceil(TAIL_FRACTION * dim))
     return populations[dim - n_tail:].sum(axis=0)
 
 
-def warn_tail(tail: float, threshold: float = TAIL_THRESHOLD, stacklevel: int = 2) -> None:
-    """TruncationWarning when a tail population exceeds threshold."""
-    if tail > threshold:
+def warn_tail(tail: float, stacklevel: int = 2) -> None:
+    """TruncationWarning when a tail population exceeds TAIL_THRESHOLD."""
+    if tail > TAIL_THRESHOLD:
         warnings.warn(
             f"top {int(100 * TAIL_FRACTION)}% of Fock levels hold population "
-            f"{tail:.3e} (> {threshold:.0e}); increase dim",
+            f"{tail:.3e} (> {TAIL_THRESHOLD:.0e}); increase dim",
             TruncationWarning,
             stacklevel=stacklevel + 1,
         )
+
+
+def check_tail(tail: float) -> None:
+    """warn_tail, then TruncationError above TAIL_ERROR."""
+    warn_tail(tail, stacklevel=3)
+    if tail > TAIL_ERROR:
+        raise TruncationError(f"tail population {tail:.3e} > {TAIL_ERROR:.0e}; increase dim")
 
 
 def normalized_kets(kets: np.ndarray) -> np.ndarray:
@@ -522,3 +529,15 @@ def converge_dim(
         dim *= 2
     log.debug("converge_dim: no convergence up to dim %d", max_dim)
     raise TruncationError(f"no dimension convergence up to dim {max_dim}")
+
+
+def at_dim(build: Callable[[int], T], figures, tail, dim: int | None, start_dim: int) -> T:
+    """build(dim), or with dim=None the result converge_dim(build, figures,
+    start_dim) accepts; either way check_tail(tail(result)) runs once, on the
+    result returned, so the dims converge_dim rejects never warn."""
+    if dim is None:
+        result, _ = converge_dim(build, figures, start_dim)
+    else:
+        result = build(dim)
+    check_tail(tail(result))
+    return result

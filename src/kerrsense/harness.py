@@ -6,15 +6,16 @@ whose rows serialize to a fixed CSV schema (or the JSON mirror of it).  All
 computations are deterministic: identical configs produce byte-identical
 files.
 
-Dimension policy (fock.converge_dim, the library's one): with dim=None the
-Fock dimension is doubled from dynamics.initial_dim until every monitored
-figure is stable to AUTO_DIM_RTOL, and the accepted pass is kept.  A
-parameter group (one delta, epsilon, kerr, gamma over the Kt and sigma2
-axes), lossless or lossy, is one pass per dimension: the vacuum evolves to
-all of the group's times at once (one GEMM without loss, one chained Lindblad
-pass with it), and under loss the echo readouts evolve once backwards.  Its
-dimension is doubled over whole passes until the row at the largest Kt, where
-the state support is widest, is stable.  A single point is the one-point group.
+Dimension policy (fock.at_dim, the library's one): with dim=None the Fock
+dimension is doubled from dynamics.initial_dim until every monitored figure
+is stable to AUTO_DIM_RTOL, and the accepted pass is kept; only the rows
+returned go through fock.check_tail.  A parameter group (one delta, epsilon,
+kerr, gamma over the Kt and sigma2 axes), lossless or lossy, is one pass per
+dimension: the vacuum evolves to all of the group's times at once (one GEMM
+without loss, one chained Lindblad pass with it), and under loss the echo
+readouts evolve once backwards.  Its dimension is doubled over whole passes
+until the row at the largest Kt, where the state support is widest, is
+stable.  A single point is the one-point group.
 Every row keeps the state its figures came from (SweepRow.state), so the
 Wigner snapshots read the state of a row instead of evolving it again.
 
@@ -226,23 +227,13 @@ def _state_rows(
         )
         row.chi2inv_1 = metrology.noisy_linear_sensitivity(state, DetectionNoise(sigma2)).value
         if echo is not None:
-            rep = metrology.readout_optimum(*echo, sigma2)
-            row.chi2inv_mai = rep.value
-            row.status = rep.status
+            row.chi2inv_mai = metrology.readout_optimum(*echo, sigma2).value
         rows.append(row)
     return rows
 
 
-def _point_row(
-    delta: float,
-    epsilon: float,
-    kerr: float,
-    gamma: float,
-    kt: float,
-    sigma2: float,
-    dim: int,
-    **flags,
-) -> SweepRow:
+def _point_row(delta, epsilon, kerr, gamma, kt, sigma2, dim: int, **flags) -> SweepRow:
+    # not called by the package; perfbench/spans.py traces this name
     (row,) = _group_pass(delta, epsilon, kerr, gamma, [kt], [sigma2], dim, **flags)
     return row
 
@@ -272,9 +263,7 @@ def evaluate_point(
     **flags,
 ) -> SweepRow:
     """Evaluate one grid point; dim=None doubles until figures stabilise."""
-    if dim is not None:
-        return _point_row(delta, epsilon, kerr, gamma, kt, sigma2, dim, **flags)
-    return _group_dim(delta, epsilon, kerr, gamma, [kt], [sigma2], **flags)[0]
+    return _group_dim(delta, epsilon, kerr, gamma, [kt], [sigma2], dim, **flags)[0]
 
 
 def _group_pass(
@@ -288,10 +277,10 @@ def _group_pass(
     with_mai: bool = True,
     **flags,
 ) -> list[SweepRow]:
-    """The rows kt_values x sigma2s (sigma2 fastest) of a group at dim.
+    """The rows kt_values x sigma2s (sigma2 fastest) of a group at dim, unchecked.
 
     The vacuum evolves to the group's sorted distinct times at once
-    (dynamics.evolve_vacuum), and the echo responses of all its states are
+    (dynamics.vacuum_states), and the echo responses of all its states are
     one call (metrology.echo_responses): under loss the readouts evolve
     backwards once through the same times.
     """
@@ -299,7 +288,7 @@ def _group_pass(
     loss = LossParams(gamma)
     kts = sorted(set(kt_values))
     times = [_time_of(kerr, kt) for kt in kts]
-    states = dynamics.evolve_vacuum(dim, p, loss, times)
+    states = dynamics.vacuum_states(dim, p, loss, times)
     echoes = metrology.echo_responses(states, p, loss, times) if with_mai else [None] * len(kts)
     by_kt = {
         kt: _state_rows(delta, epsilon, kerr, gamma, kt, state, echo, sigma2s, **flags)
@@ -315,9 +304,10 @@ def _group_dim(
     gamma: float,
     kt_values,
     sigma2s,
+    dim: int | None,
     **flags,
 ) -> list[SweepRow]:
-    """The group's rows at its converged dimension.
+    """The group's rows at dim, or with dim=None at its converged dimension.
 
     Doubles over whole group passes, monitoring the (max Kt, sigma2s[0]) row,
     where the state support is widest, from dynamics.initial_dim at that Kt.
@@ -325,12 +315,13 @@ def _group_dim(
     kt_ref = max(kt_values)
     i_ref = list(kt_values).index(kt_ref) * len(sigma2s)
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
-    rows, _ = fock.converge_dim(
+    return fock.at_dim(
         lambda d: _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, d, **flags),
         lambda rows: _row_figures(rows[i_ref]),
+        lambda rows: max(row.state.tail_population() for row in rows),
+        dim,
         dynamics.initial_dim(p, _time_of(kerr, kt_ref)),
     )
-    return rows
 
 
 def _group_rows(
@@ -348,9 +339,7 @@ def _group_rows(
     if len(kt_values) * len(sigma2s) == 1:  # evaluate_point runs the same one-point pass
         (kt,), (sigma2,) = kt_values, sigma2s
         return [evaluate_point(delta, epsilon, kerr, gamma, kt, sigma2, dim=dim, **flags)]
-    if dim is None:
-        return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, **flags)
-    return _group_pass(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
+    return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
 
 
 def _map(fn, items, threads: int) -> list:
@@ -482,6 +471,7 @@ def _fig3_snapshots(row: SweepRow, grid: PhaseGrid) -> list[WignerSnapshot]:
     displaced = QuantumState.from_density_matrix(
         d_op @ prepared.density_matrix() @ d_op.conj().T
     )
+    fock.check_tail(displaced.tail_population())
     p = HamiltonianParams(delta=row.delta, epsilon=row.epsilon, kerr=row.kerr)
     t = _time_of(row.kerr, row.kt)
     reversed_state = dynamics.evolve_lindblad(
@@ -539,9 +529,9 @@ def _first_maximum(values: np.ndarray) -> int | None:
 
 
 def _scaling_series(dim: int, p: HamiltonianParams, t_grid: np.ndarray):
-    """Mean excitation number and QFI along the vacuum trajectory."""
+    """Mean excitation number, QFI and tail population along the vacuum trajectory."""
     trajectory = dynamics.vacuum_trajectory(p, t_grid, dim)
-    return trajectory.n_mean, trajectory.f_q
+    return trajectory.n_mean, trajectory.f_q, trajectory.tail
 
 
 def _fit_slope(n_mean: np.ndarray, f_q: np.ndarray, window: float) -> float:
@@ -561,7 +551,7 @@ def run_scaling(
     """F_Q(N) series per epsilon with the slope of F_Q = a N + 4.
 
     The series is truncated at the first F_Q maximum; the slope is fitted on
-    the last 20% of the truncated points.
+    the last 20% of the truncated points, whose largest tail is checked.
     """
     if any(d != 0.0 for d in cfg.delta):
         raise ConfigError("the scaling experiment requires delta = 0")
@@ -573,24 +563,24 @@ def run_scaling(
     def run_one(epsilon: float) -> tuple[list[SweepRow], ScalingFit]:
         p = HamiltonianParams(delta=0.0, epsilon=epsilon, kerr=kerr)
 
-        def series(d: int) -> tuple[np.ndarray, np.ndarray, float]:
-            n_mean, f_q = _scaling_series(d, p, t_grid)
+        def series(d: int) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+            n_mean, f_q, tail = _scaling_series(d, p, t_grid)
             i_max = _first_maximum(f_q)
             if i_max is None:
                 raise ScalingFitError(
                     f"no F_Q maximum for epsilon/K = {epsilon / kerr}; extend the kt grid"
                 )
-            n_mean, f_q = n_mean[: i_max + 1], f_q[: i_max + 1]
-            return n_mean, f_q, _fit_slope(n_mean, f_q, 0.2)
+            end = i_max + 1
+            n_mean, f_q = n_mean[:end], f_q[:end]
+            return n_mean, f_q, _fit_slope(n_mean, f_q, 0.2), float(np.max(tail[:end])), d
 
-        if dim is not None:
-            (n_mean, f_q, a), used = series(dim), dim
-        else:
-            (n_mean, f_q, a), used = fock.converge_dim(
-                series,
-                lambda s: np.array([s[2], s[0][-1], s[1][-1]]),  # a, N and F_Q at the maximum
-                dynamics.initial_dim(p, float(t_grid[-1])),
-            )
+        n_mean, f_q, a, _, used = fock.at_dim(
+            series,
+            lambda s: np.array([s[2], s[0][-1], s[1][-1]]),  # a, N and F_Q at the maximum
+            lambda s: s[3],
+            dim,
+            dynamics.initial_dim(p, float(t_grid[-1])),
+        )
         fit = ScalingFit(
             epsilon_over_k=epsilon / kerr,
             a=a,
@@ -661,7 +651,7 @@ def run_loss_robustness(cfg: ExperimentConfig, dim: int | None = None, **_ignore
                 vertices[name] = vertex
         if vertices:
             kts = sorted(set(vertices.values()))
-            passed = _group_pass(delta, epsilon, kerr, gamma, kts, [sigma2], group_dim)
+            passed = _group_dim(delta, epsilon, kerr, gamma, kts, [sigma2], group_dim)
             at_vertex = dict(zip(kts, passed))
             for name, vertex in vertices.items():
                 if getattr(at_vertex[vertex], name) > getattr(best[name][1], name):
@@ -680,7 +670,6 @@ def run_loss_robustness(cfg: ExperimentConfig, dim: int | None = None, **_ignore
                 chi2inv_1=best["chi2inv_1"][1].chi2inv_1,
                 f_q=best["f_q"][1].f_q,
                 chi2inv_mai=mai_row.chi2inv_mai,
-                status=mai_row.status,
                 sigma2=sigma2,
             )
         )

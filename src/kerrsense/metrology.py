@@ -32,8 +32,8 @@ from .fock import (
     QuantumState,
     annihilation,
     apply_quadrature,
+    at_dim,
     check_dim,
-    converge_dim,
     covariance_from_moments,
     momentum,
     position,
@@ -67,9 +67,7 @@ class SensitivityReport:
     """Optimised figure of merit with the angles/directions that achieve it.
 
     phi_opt is the generator angle, theta_opt the measurement angle (both mod
-    pi); n_opt and m_opt are the corresponding direction vectors. status is
-    always "ok": no figure, the exact echo included, has an unreliable case.
-    It stays as the source of the CSV status column.
+    pi); n_opt and m_opt are the corresponding direction vectors.
     """
 
     value: float
@@ -77,7 +75,6 @@ class SensitivityReport:
     theta_opt: float | None = None
     n_opt: np.ndarray | None = None
     m_opt: np.ndarray | None = None
-    status: str = "ok"
 
 
 def _angle_of(vec: np.ndarray) -> float:
@@ -354,7 +351,7 @@ def _mai_operator_route(
     """Lossless echo response (r, cov) of the prepared ket psi, from the
     evolved measurement U^dag M U with U = exp(+i H reversal_time)."""
     psi_rev = dynamics.propagate(psi, p, -reversal_time)  # state in the reversed frame
-    state_rev = QuantumState.from_ket(psi_rev, check_tail=False)
+    state_rev = QuantumState.from_ket(psi_rev)
 
     # r[i, j] = 2 Im <psi| G_i U^dag M_j U |psi> = d<M_j>/dd.
     # The quadratures flip parity, so these kets propagate in the odd sector.
@@ -440,19 +437,17 @@ def mai_sensitivity(
     The state evolves for time t under (p, loss) and then goes through
     echo_responses with reversal_time (default t). dim=None converges the
     Fock dimension on the echo figure, by the one policy of every auto-dim
-    result (fock.converge_dim from dynamics.initial_dim at max(t,
-    reversal_time)).
+    result (fock.at_dim from dynamics.initial_dim at max(t, reversal_time));
+    the prepared state's tail goes through fock.check_tail.
     """
     loss = loss if loss is not None else dynamics.LossParams(0.0)
     t_rev = reversal_time if reversal_time is not None else t
     sigma2 = noise.sigma2 if noise is not None else 0.0
 
-    def run(d: int) -> SensitivityReport:
-        (state,) = dynamics.evolve_vacuum(d, p, loss, [t])
+    def run(d: int) -> tuple[SensitivityReport, float]:
+        (state,) = dynamics.vacuum_states(d, p, loss, [t])
         ((r, cov),) = echo_responses([state], p, loss, [t_rev])
-        return readout_optimum(r, cov, sigma2)
+        return readout_optimum(r, cov, sigma2), state.tail_population()
 
-    if dim is not None:
-        return run(check_dim(dim))
     start = dynamics.initial_dim(p, max(t, t_rev))
-    return converge_dim(run, lambda rep: rep.value, start)[0]
+    return at_dim(run, lambda out: out[0].value, lambda out: out[1], dim, start)[0]

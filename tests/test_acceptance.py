@@ -36,8 +36,6 @@ from kerrsense.metrology import (
 )
 from kerrsense.wigner import DEFAULT_GRID, PhaseGrid, parity_expectation, wigner
 
-pytestmark = pytest.mark.filterwarnings("ignore::kerrsense.fock.TruncationWarning")
-
 
 def _verdict(num: int, name: str, failures: list[str], detail: str = "") -> None:
     ok = not failures

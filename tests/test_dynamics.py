@@ -508,12 +508,20 @@ def test_squeezing_trace_logs_the_dimension_ladder(caplog):
 
 
 def test_squeezing_trace_warns_on_truncation_tail():
+    # free squeezing to r = 2: the top levels hold 3.2e-2 at dim 40, where
+    # evolve_unitary raises too, 1.4e-5 at dim 256 and nothing at dim 2560
     p = HamiltonianParams(epsilon=2.0)
+    t_grid = np.linspace(0.0, 0.5, 6)
+    with pytest.warns(TruncationWarning), pytest.raises(TruncationError):
+        squeezing_trace(p, t_grid, dim=40)
+    with pytest.warns(TruncationWarning), pytest.raises(TruncationError):
+        evolve_unitary(QuantumState.vacuum(40), p, 0.5)
     with pytest.warns(TruncationWarning):
-        squeezing_trace(p, np.linspace(0.0, 0.5, 6), dim=40)
+        trace = squeezing_trace(p, t_grid, dim=256)
+    assert 1e-8 < float(np.max(trace.tail)) < 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        squeezing_trace(p, np.linspace(0.0, 0.5, 6), dim=2560)
+        squeezing_trace(p, t_grid, dim=2560)
 
 
 def test_squeezing_trace_rejects_bad_grid():

@@ -41,7 +41,7 @@ def random_ket(dim: int, seed: int) -> QuantumState:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v *= np.exp(-((np.arange(dim) / (dim / 4.0)) ** 2))
-    return QuantumState.from_ket(v / np.linalg.norm(v), check_tail=False)
+    return QuantumState.from_ket(v / np.linalg.norm(v))
 
 
 def random_mixed(dim: int, seed: int, rank: int = 4) -> QuantumState:
@@ -54,7 +54,7 @@ def random_mixed(dim: int, seed: int, rank: int = 4) -> QuantumState:
         v *= np.exp(-((np.arange(dim) / (dim / 4.0)) ** 2))
         v /= np.linalg.norm(v)
         rho += w[k] * np.outer(v, v.conj())
-    return QuantumState.from_density_matrix(rho, check_tail=False)
+    return QuantumState.from_density_matrix(rho)
 
 
 def factorials(dim: int) -> np.ndarray:
@@ -247,7 +247,10 @@ def test_from_ket_validation():
 
 def test_from_density_matrix_validation():
     good = np.diag([0.6, 0.4, 0.0]).astype(complex)
-    with pytest.warns(TruncationWarning):  # the top two levels hold 0.4
+    # constructors only validate: the top two levels hold 0.4, and it builds
+    # without a warning (truncation is judged by fock.check_tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         QuantumState.from_density_matrix(good)
     bad_herm = good.copy()
     bad_herm[0, 1] = 0.1
@@ -308,7 +311,7 @@ def test_ket_block_moments_match_per_ket():
     cov = fock.covariance_from_moments(ma, ma2, mn)
     assert cov.shape == (3, 2, 2)
     for j in range(3):
-        state = QuantumState.from_ket(block[:, j], check_tail=False)
+        state = QuantumState.from_ket(block[:, j])
         np.testing.assert_allclose([ma[j], ma2[j], mn[j]], ladder_moments(state), atol=1e-14)
         np.testing.assert_allclose(cov[j], quadrature_covariance(state), atol=1e-14)
 
@@ -359,7 +362,7 @@ def test_state_fidelity_mixed_branches_agree():
     pure = random_ket(12, seed=5)
     mixed = random_mixed(12, seed=6)
     fast = state_fidelity(pure, mixed)
-    as_density = QuantumState.from_density_matrix(pure.density_matrix(), check_tail=False)
+    as_density = QuantumState.from_density_matrix(pure.density_matrix())
     general = state_fidelity(as_density, mixed)
     # the general branch goes through two eigendecompositions
     assert abs(fast - general) < 5e-8

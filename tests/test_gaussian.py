@@ -1,12 +1,18 @@
-"""Closed-form Gaussian sensitivities and their internal consistency."""
+"""Closed-form Gaussian sensitivities and their internal consistency, and the
+lossy Gaussian oracle (K = 0, gamma > 0) of the program's lossy figures."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerrsense import gaussian
+from kerrsense.config import ExperimentConfig
+from kerrsense.dynamics import HamiltonianParams, LossParams
 from kerrsense.gaussian import GaussianState, from_free_squeezing
+from kerrsense.harness import evaluate_point, run_custom
+from kerrsense.metrology import QFI_EIG_CUTOFF, DetectionNoise, mai_sensitivity
 
 
 def random_states(count: int, seed: int):
@@ -159,3 +165,102 @@ def test_state_validation():
         GaussianState(n_thermal=-1.0)
     with pytest.raises(ValueError):
         GaussianState(zeta=math.inf)
+
+
+# ---------------------------------------------------------------------------
+# lossy Gaussian oracle: with K = 0 and the jump operator sqrt(gamma) a the
+# vacuum stays Gaussian, and every figure follows from its (X, P) covariance
+
+ORACLE_RTOL = 1e-10
+# the mixed QFI drops eigenvalue pairs of rho whose sum is below
+# QFI_EIG_CUTOFF; here that moves f_q by a few cutoffs relative
+ORACLE_F_Q_RTOL = 10.0 * QFI_EIG_CUTOFF
+
+
+def _lossy_covariance(a: np.ndarray, gamma: float, v0: np.ndarray, t: float) -> np.ndarray:
+    """V(t) = S + e^{At} (V0 - S) e^{A^T t} of dV/dt = A V + V A^T + (gamma/2) I,
+    with A S + S A^T = -(gamma/2) I (S = 0 without loss, where the
+    eigenvalues +-lambda of A sum to zero and make that equation singular)."""
+    s = np.zeros((2, 2))
+    if gamma > 0.0:
+        s = scipy.linalg.solve_continuous_lyapunov(a, -0.5 * gamma * np.eye(2))
+    e = scipy.linalg.expm(a * t)
+    return s + e @ (v0 - s) @ e.T
+
+
+def lossy_gaussian_figures(delta, epsilon, gamma, t, sigma2, reversal_time=None) -> dict:
+    """Closed-form figures of the vacuum evolved for t under
+    H = delta a^dag a + epsilon (a^dag^2 + a^2) with loss gamma, and of its
+    echo reversed for reversal_time (default t) under -H with the same loss."""
+    tau = t if reversal_time is None else reversal_time
+    drift = np.array([[0.0, delta - 2.0 * epsilon], [-(delta + 2.0 * epsilon), 0.0]])
+    damping = 0.5 * gamma * np.eye(2)
+    v = _lossy_covariance(drift - damping, gamma, np.eye(2) / 2.0, t)
+    a_rev = -drift - damping
+    v_rev = _lossy_covariance(a_rev, gamma, v, tau)
+    # exp(-i d X) shifts <P> by -d and exp(-i d P) shifts <X> by +d; the
+    # shift then evolves with the mean, e^{A_rev tau}
+    r = np.array([[0.0, -1.0], [1.0, 0.0]]) @ scipy.linalg.expm(a_rev * tau).T
+    v_min = float(np.linalg.eigvalsh(v)[0])
+    readout = r @ np.linalg.inv(v_rev + sigma2 * np.eye(2)) @ r.T
+    return {
+        "n_mean": float(np.trace(v)) / 2.0 - 0.5,
+        "v_min": v_min,
+        "chi2inv_1": 1.0 / (v_min + sigma2),
+        # chi^-2_1 <= chi^-2_2 <= chi^-2_3 <= F_Q = 1/v_min, and the moment
+        # figures are noise-free: all three are F_Q
+        "chi2inv_2": 1.0 / v_min,
+        "chi2inv_3": 1.0 / v_min,
+        "f_q": 1.0 / v_min,
+        "chi2inv_mai": float(np.linalg.eigvalsh(readout)[-1]),
+    }
+
+
+def _assert_matches_oracle(row, oracle: dict) -> None:
+    for name, expected in oracle.items():
+        got = getattr(row, name)
+        if got is None:
+            continue
+        rtol = ORACLE_F_Q_RTOL if name == "f_q" else ORACLE_RTOL
+        assert got == pytest.approx(expected, rel=rtol), (name, row.kt, row.sigma2)
+
+
+def test_lossy_gaussian_oracle_matches_its_pure_limit():
+    # gamma = 0 is the squeezed vacuum of from_free_squeezing
+    eps, t = 0.5, 0.6
+    oracle = lossy_gaussian_figures(0.0, eps, 0.0, t, 0.0)
+    g = from_free_squeezing(eps, t)
+    assert oracle["v_min"] == pytest.approx(gaussian.variance(g, math.pi / 4.0), rel=1e-12)
+    assert oracle["f_q"] == pytest.approx(gaussian.qfi_max(g), rel=1e-12)
+    assert oracle["chi2inv_mai"] == pytest.approx(gaussian.mai_gaussian(g), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(0.0, 0.5, 0.2, 1.0, 0.0), (0.3, 0.4, 0.5, 0.8, 0.5), (-0.6, 0.35, 0.3, 0.6, 0.0)],
+    ids=["delta0", "delta-and-noise", "negative-delta"],
+)
+def test_lossy_point_matches_gaussian_oracle(point):
+    # auto dim: (0, 0.5, 0.2, 1.0) climbs 48 -> 96 -> 192 through rungs whose
+    # tails pass TAIL_THRESHOLD, and must not warn
+    delta, epsilon, gamma, t, sigma2 = point
+    row = evaluate_point(delta, epsilon, 0.0, gamma, t, sigma2, with_k2=True, with_k3=True)
+    _assert_matches_oracle(row, lossy_gaussian_figures(delta, epsilon, gamma, t, sigma2))
+
+
+def test_lossy_group_matches_gaussian_oracle():
+    cfg = ExperimentConfig("custom", (0.3,), (0.4,), (0.0,), (0.5,), (0.2, 0.5, 0.8), (0.0, 0.5))
+    rows = run_custom(cfg, with_k3=True).rows
+    assert len(rows) == 6
+    for row in rows:
+        oracle = lossy_gaussian_figures(row.delta, row.epsilon, row.gamma, row.kt, row.sigma2)
+        _assert_matches_oracle(row, oracle)
+
+
+def test_lossy_echo_with_its_own_reversal_time_matches_gaussian_oracle():
+    p = HamiltonianParams(delta=0.3, epsilon=0.4, kerr=0.0)
+    rep = mai_sensitivity(
+        p, 0.8, loss=LossParams(0.5), noise=DetectionNoise(0.5), reversal_time=0.5
+    )
+    expected = lossy_gaussian_figures(0.3, 0.4, 0.5, 0.8, 0.5, reversal_time=0.5)
+    assert rep.value == pytest.approx(expected["chi2inv_mai"], rel=ORACLE_RTOL)

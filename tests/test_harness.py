@@ -208,6 +208,15 @@ def test_every_auto_dim_result_has_one_policy(monkeypatch, caplog, entry):
     np.testing.assert_allclose(auto, figures(2 * dim), rtol=AUTO_DIM_RTOL)
 
 
+def test_auto_dim_rejected_dims_do_not_warn():
+    # each climbs through dims whose tails pass TAIL_THRESHOLD (1.6e-7 at dim
+    # 48 for the first); only the accepted result is checked, so under the
+    # suite's error filter on TruncationWarning these return
+    assert evaluate_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == 192
+    assert evaluate_point(0.0, 2.0, 0.0, 0.0, 0.5).dim == 2304
+    assert mai_sensitivity(HamiltonianParams(0.0, 2.0, 0.0), 0.5).value > 0.0
+
+
 def test_auto_dim_is_the_same_with_k3(monkeypatch):
     # a near-vacuum point whose order-3 covariance has condition ~4e9: the
     # k = 3 figure must not keep the doubling search climbing (the cap keeps
@@ -449,6 +458,16 @@ def test_run_scaling_error_paths():
         run_scaling(cfg((1.0,), tuple(np.linspace(0.0, 1.0, 201))), dim=64)
 
 
+def test_run_scaling_checks_the_truncation_tail():
+    # the epsilon/K = 8 series holds 1.7e-3 in its top levels at dim 24 and
+    # 4.2e-7 at dim 32, up to its F_Q maximum
+    cfg = default_config("scaling")
+    with pytest.warns(TruncationWarning), pytest.raises(TruncationError):
+        run_scaling(cfg, dim=24)
+    with pytest.warns(TruncationWarning):
+        run_scaling(cfg, dim=32)
+
+
 def test_run_loss_robustness_lossless_row():
     cfg = ExperimentConfig(
         "loss-robustness", (0.0,), (2.0,), (1.0,), (0.0,), (0.3, 0.4, 0.5), (0.0,)
@@ -615,10 +634,10 @@ def _fig3_config(gamma, kt):
 SNAPSHOT_PATHS = {
     # name: (first dim, config, the prepared state's point, or None when it
     # is the swept row at Kt 0.4).  A weakly squeezed fig3 point from dim 16
-    # keeps the lossy ladder cheap; the epsilon 2 wigner point starts at 32,
-    # since at 16 its top two levels hold 2.5e-7 and warn.
+    # keeps the lossy ladder cheap; the epsilon 2 wigner point's dim-16 rung
+    # holds 2.5e-7 in its top two levels, and only the accepted dim is judged.
     "wigner": (
-        32,
+        16,
         ExperimentConfig("wigner", (0.0,), (2.0,), (1.0,), (0.0,), (0.4,), (0.0,)),
         (0.0, 2.0, 1.0, 0.0, 0.4),
     ),

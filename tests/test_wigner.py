@@ -241,7 +241,6 @@ def coherent_ket(dim: int, beta: complex) -> np.ndarray:
 
 
 @pytest.mark.filterwarnings("ignore::kerrsense.wigner.GridCoverageWarning")
-@pytest.mark.filterwarnings("ignore::kerrsense.fock.TruncationWarning")
 def test_large_dim_states_on_snapshot_grid():
     x = SNAPSHOT_SUBGRID.x_values[:, None]
     p = SNAPSHOT_SUBGRID.p_values[None, :]
