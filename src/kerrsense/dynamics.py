@@ -46,6 +46,7 @@ from .fock import (
     ket_ladder_moments,
     normalized_kets,
     quadrature_covariance,
+    sparse_annihilation,
     tail_populations,
 )
 
@@ -181,11 +182,8 @@ def liouvillian(dim: int, p: HamiltonianParams, loss: LossParams, reverse: bool 
     eye = sp.identity(dim, dtype=complex, format="csr")
     lv = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
     if loss.gamma > 0.0:
-        n_diag = np.arange(dim, dtype=float)
-        a = sp.csr_matrix(
-            (np.sqrt(n_diag[1:]), (np.arange(dim - 1), np.arange(1, dim))), shape=(dim, dim)
-        ).astype(complex)
-        n_op = sp.diags(n_diag + 0j).tocsr()
+        a = sparse_annihilation(dim)
+        n_op = sp.diags(np.arange(dim) + 0j).tocsr()
         lv = lv + loss.gamma * (
             sp.kron(a, a.conj()) - 0.5 * sp.kron(n_op, eye) - 0.5 * sp.kron(eye, n_op)
         )

@@ -1,7 +1,8 @@
 """Truncated Fock-space operators, states, and moments.
 
 Everything lives on the number basis |0>, ..., |dim-1> as dense complex
-matrices. Quadrature convention: X = (a + a^dag)/sqrt(2) and
+matrices; sparse_annihilation is the CSR ladder that sparse products start
+from. Quadrature convention: X = (a + a^dag)/sqrt(2) and
 P = -i(a - a^dag)/sqrt(2), so [X, P] = i away from the truncation edge and
 the vacuum has Var[X] = 1/2.
 
@@ -20,6 +21,7 @@ from functools import lru_cache
 from typing import Callable, TypeVar
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 HERMITIAN_TOL = 1e-12
@@ -313,6 +315,13 @@ def _ladder_matrix(dim: int) -> np.ndarray:
     return a
 
 
+def sparse_annihilation(dim: int) -> sp.csr_matrix:
+    """The ladder operator a as a complex CSR matrix (one superdiagonal)."""
+    dim = check_dim(dim)
+    n = np.arange(1, dim)
+    return sp.csr_matrix((np.sqrt(n) + 0j, (n - 1, n)), shape=(dim, dim))
+
+
 def annihilation(dim: int) -> Operator:
     return Operator(_ladder_matrix(check_dim(dim)))
 
@@ -350,17 +359,13 @@ def parity(dim: int) -> Operator:
 
 
 def displacement(dim: int, alpha: complex) -> Operator:
-    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated space."""
-    dim = check_dim(dim)
+    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated space.
+
+    Like the state constructors it judges no truncation: the tail of a state
+    it displaces goes through check_tail.
+    """
     alpha = complex(alpha)
-    if abs(alpha) ** 2 > dim / 10.0:
-        warnings.warn(
-            f"displacement |alpha|^2 = {abs(alpha) ** 2:.3g} is large for dim {dim}; "
-            "matrix elements near the edge are unreliable",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    a = _ladder_matrix(dim)
+    a = _ladder_matrix(check_dim(dim))
     return Operator(expm(alpha * a.conj().T - np.conj(alpha) * a))
 
 

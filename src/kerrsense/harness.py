@@ -777,9 +777,9 @@ def _fit_to_dict(fit: ScalingFit) -> dict:
 
 def _snapshot_to_dict(snap: WignerSnapshot) -> dict:
     return {
-        "x_grid": [float(x) for x in snap.x_grid],
-        "p_grid": [float(p) for p in snap.p_grid],
-        "w": [[float(v) for v in row] for row in snap.w],
+        "x_grid": snap.x_grid.tolist(),
+        "p_grid": snap.p_grid.tolist(),
+        "w": snap.w.tolist(),
         "phi_opt": snap.phi_opt,
         "theta_opt": snap.theta_opt,
     }
@@ -831,6 +831,7 @@ def emit(result: SweepResult, out_path: str | Path, fmt: str = "csv") -> list[Pa
             path = out
         else:
             path = out.with_name(f"{out.stem}_wigner_{snap.name}.json")
-        path.write_text(json.dumps(_snapshot_to_dict(snap), indent=1) + "\n")
+        # no indent: a 201 x 201 grid goes through the C encoder
+        path.write_text(json.dumps(_snapshot_to_dict(snap)) + "\n")
         written.append(path)
     return written

@@ -16,6 +16,17 @@ Gamma. The method of moments (observables of polynomial order k) and the
 echo (quadratures after the reversal) are both this quotient, and both are
 solved by best_readout as the top eigenpair of the pencil (c^T c, Gamma) on
 the range of Gamma.
+
+The moment basis of order 3 (X, P, their three quadratic and four cubic
+symmetrised products) is built once per dim as one sparse CSR stack of nine
+dim x dim blocks, from products of the sparse ladder; the order-1 and
+order-2 bases are its leading blocks. A state enters through a square-root
+factor W with rho = W W^dag (a ket is one column; a density matrix gives
+V sqrt(lambda) from its eigendecomposition), so every <M_i M_j> table is
+one sparse product of the stack with W followed by a small Gram matrix, for
+pure and mixed states alike. The mixed-state QFI and the echo's kicks
+-i[G, rho] take X and P from the same stack. moment_basis densifies the
+blocks for callers that want Operators; no figure uses it.
 """
 from __future__ import annotations
 
@@ -24,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dynamics
 from .fock import (
@@ -35,9 +47,8 @@ from .fock import (
     at_dim,
     check_dim,
     covariance_from_moments,
-    momentum,
-    position,
     quadrature_covariance,
+    sparse_annihilation,
     variance,
 )
 
@@ -178,8 +189,7 @@ def qfi_mixed(state: QuantumState, eig_cutoff: float = QFI_EIG_CUTOFF) -> Sensit
     4 * max quadrature variance for pure states.
     """
     w, vecs = _qfi_spectral_parts(state, eig_cutoff)
-    x_t = vecs.conj().T @ position(state.dim).matrix @ vecs
-    p_t = vecs.conj().T @ momentum(state.dim).matrix @ vecs
+    x_t, p_t = vecs.conj().T @ _basis_products(vecs, 2)  # X and P in the eigenbasis
     f = np.empty((2, 2))
     f[0, 0] = float(np.sum(w * np.abs(x_t) ** 2))
     f[1, 1] = float(np.sum(w * np.abs(p_t) ** 2))
@@ -222,58 +232,93 @@ class MomentBasis:
 _BASIS_LENGTH = {1: 2, 2: 5, 3: 9}
 
 
-@lru_cache(maxsize=8)
-def _moment_matrices(dim: int) -> tuple[Operator, ...]:
-    """The order-3 basis at dim, wrapped once; lower orders are its prefixes."""
-    x = position(dim).matrix
-    p = momentum(dim).matrix
-    xpp = x @ p @ p
-    pxp = p @ x @ p
-    ppx = p @ p @ x
-    pxx = p @ x @ x
-    xpx = x @ p @ x
-    xxp = x @ x @ p
+def _order(basis: MomentBasis | int) -> int:
+    return basis if isinstance(basis, int) else basis.order
+
+
+def _basis_length(order: int) -> int:
+    if order not in _BASIS_LENGTH:
+        raise ValueError(f"moment basis order must be 1, 2, or 3, got {order!r}")
+    return _BASIS_LENGTH[order]
+
+
+@lru_cache(maxsize=32)
+def _moment_matrices(dim: int) -> sp.csr_matrix:
+    """The order-3 basis at dim as one read-only (9 dim, dim) CSR stack whose
+    row block k is basis operator k; lower orders are its leading blocks."""
+    a = sparse_annihilation(dim)
+    a_dag = a.conj().T
+    x = (a + a_dag) / math.sqrt(2.0)
+    p = -1j * (a - a_dag) / math.sqrt(2.0)
+    xx, pp, xp, px = x @ x, p @ p, x @ p, p @ x
     mats = [
         x,
         p,
-        x @ x,
-        p @ p,
-        (x @ p + p @ x) / 2.0,
-        x @ x @ x,
-        p @ p @ p,
-        (xpp + pxp + ppx) / 3.0,
-        (pxx + xpx + xxp) / 3.0,
+        xx,
+        pp,
+        (xp + px) / 2.0,
+        xx @ x,
+        pp @ p,
+        (xp @ p + px @ p + pp @ x) / 3.0,
+        (px @ x + xp @ x + xx @ p) / 3.0,
     ]
     # products of Hermitians symmetrised exactly
-    return tuple(Operator((m + m.conj().T) / 2.0, hermitian=True) for m in mats)
+    stack = sp.vstack([(m + m.conj().T) / 2.0 for m in mats], format="csr")
+    for arr in (stack.data, stack.indices, stack.indptr):
+        arr.setflags(write=False)
+    return stack
+
+
+def _basis_products(w: np.ndarray, count: int) -> np.ndarray:
+    """M_k w for the first count basis operators, shape (count, dim, w columns)."""
+    dim = w.shape[0]
+    return (_moment_matrices(dim) @ w)[: count * dim].reshape(count, dim, -1)
+
+
+@lru_cache(maxsize=8)
+def _moment_operators(dim: int) -> tuple[Operator, ...]:
+    """Dense Operator views of the blocks of _moment_matrices(dim)."""
+    blocks = _moment_matrices(dim).toarray().reshape(-1, dim, dim)
+    return tuple(Operator(block, hermitian=True) for block in blocks)
 
 
 def moment_basis(dim: int, order: int) -> MomentBasis:
-    """Basis (X, P | X^2, P^2, sym XP | X^3, P^3, sym XPP, sym PXX) of length 2/5/9."""
-    if order not in _BASIS_LENGTH:
-        raise ValueError(f"moment basis order must be 1, 2, or 3, got {order!r}")
-    ops = _moment_matrices(check_dim(dim))
-    return MomentBasis(order=order, operators=ops[: _BASIS_LENGTH[order]])
+    """Basis (X, P | X^2, P^2, sym XP | X^3, P^3, sym XPP, sym PXX) of length
+    2/5/9, as dense Operators; the figures use the sparse stack instead."""
+    count = _basis_length(order)
+    return MomentBasis(order=order, operators=_moment_operators(check_dim(dim))[:count])
 
 
-def moment_matrices(state: QuantumState, basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Commutator matrix C and covariance matrix Gamma of the measured basis.
+def _square_root_factor(state: QuantumState) -> np.ndarray:
+    """W with rho = W W^dag: the ket as one column, or V sqrt(lambda) from the
+    eigendecomposition of a density matrix (eigenvalues clipped at 0)."""
+    if state.is_pure:
+        return state.data[:, None]
+    lam, vecs = np.linalg.eigh(state.data)
+    return vecs * np.sqrt(np.clip(lam, 0.0, None))
 
-    Both come from one table <M_i M_j>: Gamma is its symmetrised real part
-    minus <M_i><M_j>, and since the generators X, P are the first two basis
+
+def moment_matrices(
+    state: QuantumState, basis: MomentBasis | int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Commutator matrix C and covariance matrix Gamma of the measured basis
+    (a MomentBasis, of which only the order is read, or the order itself).
+
+    Both come from one table <M_i M_j> = Tr[(M_i W)^dag (M_j W)] for the
+    square-root factor W of the state, whose products M_k W are one sparse
+    product with the stack: Gamma is its symmetrised real part minus
+    <M_i><M_j>, and since the generators X, P are the first two basis
     entries, C_ij = -i <[G_i, M_j]> = 2 Im <G_i M_j> is its first two rows.
     """
-    mats = [op.matrix for op in basis.operators]
-    if state.is_pure:
-        vecs = np.stack([m @ state.data for m in mats])
-        means = (vecs @ state.data.conj()).real
-        prod = vecs.conj() @ vecs.T
-    else:
-        rho_m = [state.data @ m for m in mats]
-        means = np.array([np.trace(rm).real for rm in rho_m])
-        # Tr[rho M_i M_j] = sum_ab (rho M_i)_ba (M_j)_ab
-        flat = np.stack([m.reshape(-1) for m in mats])
-        prod = np.stack([rm.T.reshape(-1) for rm in rho_m]) @ flat.T
+    if isinstance(basis, MomentBasis) and basis.operators[0].dim != state.dim:
+        raise DimensionMismatchError(
+            f"basis dim {basis.operators[0].dim} vs state dim {state.dim}"
+        )
+    count = _basis_length(_order(basis))
+    w = _square_root_factor(state)
+    mw = _basis_products(w, count).reshape(count, -1)
+    means = (mw @ w.conj().reshape(-1)).real
+    prod = mw.conj() @ mw.T
     gamma = prod.real - np.outer(means, means)
     return 2.0 * prod[:2].imag, (gamma + gamma.T) / 2.0
 
@@ -319,10 +364,8 @@ def moment_sensitivity(state: QuantumState, basis: MomentBasis | int) -> Sensiti
     measurement combination: best_readout of the basis's moment_matrices.
     theta_opt is the measured quadrature's angle, so only order 1 has one.
     """
-    if isinstance(basis, int):
-        basis = moment_basis(state.dim, basis)
     report = best_readout(*moment_matrices(state, basis))
-    if basis.order != 1:
+    if _order(basis) != 1:
         report.theta_opt = None
     return report
 
@@ -392,13 +435,13 @@ def _mai_derivative_route(
         _readout_block(dim), p, loss, taus, reverse=True, adjoint=True
     )
     readouts = dict(zip(taus, evolved))
-    x, p_op = position(dim).matrix, momentum(dim).matrix
     responses = []
     for rho, tau in zip(rhos, reversal_times):
         w = readouts[tau]
         ma, ma2, mn = rho.reshape(-1) @ w
-        kicks = np.stack([(-1j * (g @ rho - rho @ g)).reshape(-1) for g in (x, p_op)])
-        da = kicks @ w[:, 0]
+        g_rho = _basis_products(rho, 2)  # G rho for G = X, P; rho G = (G rho)^dag
+        kicks = -1j * (g_rho - g_rho.conj().transpose(0, 2, 1))
+        da = kicks.reshape(2, -1) @ w[:, 0]
         r = math.sqrt(2.0) * np.stack([da.real, da.imag], axis=1)
         responses.append((r, covariance_from_moments(ma, ma2, mn.real)))
     return responses

@@ -151,9 +151,15 @@ def test_displacement_composition_phase():
     np.testing.assert_allclose(lhs[:20, :20], rhs[:20, :20], atol=1e-9)
 
 
-def test_large_displacement_warns():
-    with pytest.warns(TruncationWarning):
-        displacement(10, 3.0)
+def test_large_displacement_is_judged_by_the_state_tail():
+    # displacement() judges no truncation; the tail of the state it displaces
+    # goes through check_tail, which fails this one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = displacement(10, 3.0)
+    state = QuantumState.from_ket(d.matrix[:, 0])
+    with pytest.warns(TruncationWarning), pytest.raises(TruncationError):
+        fock.check_tail(state.tail_population())
 
 
 def test_operator_arithmetic_and_hermiticity():
@@ -211,18 +217,17 @@ def test_coherent_state_poisson_populations():
 
 
 def test_large_coherent_state_does_not_warn():
-    # |alpha|^2 = 100 at dim 512 trips the |alpha|^2 > dim/10 guess of
-    # displacement(), but the ket's measured tail is negligible
+    # |alpha|^2 = 100 at dim 512: the ket's measured tail is negligible, and
+    # neither the ket nor displacement() warns
     dim, alpha = 512, 10.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = QuantumState.coherent(dim, alpha)
+        displacement(dim, alpha)
     n = np.arange(dim)
     log_amp = -alpha**2 / 2.0 + n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
     np.testing.assert_allclose(s.ket.real, np.exp(log_amp), rtol=0, atol=1e-12)
     assert np.max(np.abs(s.ket.imag)) < 1e-12
-    with pytest.warns(TruncationWarning):
-        displacement(dim, alpha)
 
 
 def test_thermal_state_geometric_weights():

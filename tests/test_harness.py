@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrsense import dynamics, fock, harness
+from kerrsense import dynamics, fock, harness, metrology
 from kerrsense.cli import _parse_dim, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
 from kerrsense.dynamics import (
@@ -227,6 +227,19 @@ def test_auto_dim_is_the_same_with_k3(monkeypatch):
     with_k3 = evaluate_point(*point, dim=None, with_k3=True)
     assert with_k3.dim == plain.dim
     assert with_k3.chi2inv_3 >= with_k3.chi2inv_1
+
+
+def test_lossless_rows_use_no_dense_ladder_or_basis(monkeypatch):
+    # every figure of a lossless row, the moment bases k = 2, 3 included,
+    # works on kets with banded or sparse operators; the stack is built anew
+    def dense(*args):
+        raise AssertionError("dense ladder or basis matrix built")
+
+    metrology._moment_matrices.cache_clear()
+    monkeypatch.setattr(fock, "_ladder_matrix", dense)
+    monkeypatch.setattr(metrology, "moment_basis", dense)
+    row = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.4, with_k2=True, with_k3=True)
+    assert row.chi2inv_1 <= row.chi2inv_3 <= row.f_q
 
 
 def test_evaluate_point_flags():

@@ -314,27 +314,47 @@ def test_covariance_matrix_is_symmetric_psd():
 
 def test_moment_matrices_match_their_definitions():
     # C_ij = -i <[G_i, M_j]> and Gamma_ij = <{M_i, M_j}>/2 - <M_i><M_j>, one
-    # expectation at a time, for a ket and for the same state as a matrix
-    ket = random_ket(20, seed=4)
-    basis = moment_basis(20, 3)
+    # dense expectation at a time, for a ket, the same state as a matrix, and
+    # a full-rank lossy state (every column of the square-root factor counts)
+    basis = moment_basis(24, 3)
     ops = basis.operators
-    means = [fock.expectation(ket, m).real for m in ops]
-    c_ref = [
-        [(-1j * fock.expectation(ket, fock.commutator(g, m))).real for m in ops] for g in ops[:2]
-    ]
-    gamma_ref = [
-        [
-            fock.expectation(ket, Operator((a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0)).real
-            - means[i] * means[j]
-            for j, b in enumerate(ops)
+    ket = random_ket(24, seed=4)
+    p = HamiltonianParams(delta=0.4, epsilon=0.5, kerr=1.0)
+    (lossy,) = dynamics.evolve_vacuum(24, p, LossParams(0.3), [0.5])
+    for state in (ket, QuantumState.from_density_matrix(ket.density_matrix()), lossy):
+        means = [fock.expectation(state, m).real for m in ops]
+        c_ref = [
+            [(-1j * fock.expectation(state, fock.commutator(g, m))).real for m in ops]
+            for g in ops[:2]
         ]
-        for i, a in enumerate(ops)
-    ]
-    mixed = QuantumState.from_density_matrix(ket.density_matrix())
-    for state in (ket, mixed):
+        gamma_ref = [
+            [
+                fock.expectation(
+                    state, Operator((a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0)
+                ).real
+                - means[i] * means[j]
+                for j, b in enumerate(ops)
+            ]
+            for i, a in enumerate(ops)
+        ]
         c, gamma = moment_matrices(state, basis)
         np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-12, atol=1e-12)
+
+
+def test_moment_figures_leave_the_dense_basis_unbuilt():
+    # the figures apply the sparse stack; only moment_basis densifies it
+    metrology._moment_operators.cache_clear()
+    state = kerr_state(40, delta=0.0, eps=2.0, kt=0.3)
+    moment_sensitivity(state, 3)
+    assert metrology._moment_operators.cache_info().currsize == 0
+    moment_basis(40, 3)
+    assert metrology._moment_operators.cache_info().currsize == 1
+
+
+def test_moment_matrices_reject_a_basis_of_another_dim():
+    with pytest.raises(fock.DimensionMismatchError):
+        moment_matrices(QuantumState.vacuum(20), moment_basis(24, 2))
 
 
 def test_moment_report_directions():
