@@ -9,8 +9,8 @@ results provide independent cross-checks, a Wigner module renders phase-space
 snapshots, and a CLI drives reproducible parameter sweeps.
 
 Diagnostics go to the ``kerrsense`` stdlib logger (e.g. the dimensions that
-``converge_dim`` tries, at DEBUG).  It has a NullHandler, so nothing is
-printed unless the application configures logging.
+``converge_dim`` tries, with their tails, at DEBUG).  It has a NullHandler,
+so nothing is printed unless the application configures logging.
 """
 
 import logging

@@ -44,6 +44,7 @@ from .fock import (
     check_tail,
     covariance_from_moments,
     ket_ladder_moments,
+    ladder_dim,
     normalized_kets,
     quadrature_covariance,
     sparse_annihilation,
@@ -393,7 +394,7 @@ def evolve_vacuum(
 # squeezing figures
 
 
-def _quadrature_extremes(cov: np.ndarray):
+def quadrature_extremes(cov: np.ndarray):
     """(V_min, theta_opt, V_max) of one 2x2 (X, P) covariance or a stack of them."""
     evals, evecs = np.linalg.eigh(cov)
     theta = np.arctan2(evecs[..., 1, 0], evecs[..., 0, 0]) % math.pi
@@ -406,7 +407,7 @@ def min_variance(state: QuantumState) -> tuple[float, float]:
     Returns (v_min, theta_opt) with theta_opt in [0, pi); v_min is the smaller
     eigenvalue of the 2x2 covariance matrix of (X, P).
     """
-    v_min, theta, _ = _quadrature_extremes(quadrature_covariance(state))
+    v_min, theta, _ = quadrature_extremes(quadrature_covariance(state))
     return float(v_min), float(theta)
 
 
@@ -455,7 +456,7 @@ def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajector
     figures come from vectorised ladder moments."""
     kets = vacuum_kets(p, t_grid, dim)
     ma, ma2, mn = ket_ladder_moments(kets)
-    v_min, theta, v_max = _quadrature_extremes(covariance_from_moments(ma, ma2, mn))
+    v_min, theta, v_max = quadrature_extremes(covariance_from_moments(ma, ma2, mn))
     return VacuumTrajectory(
         times=np.asarray(t_grid, dtype=float),
         kets=kets,
@@ -469,17 +470,19 @@ def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajector
 
 
 def initial_dim(p: HamiltonianParams, t: float) -> int:
-    """Start of the doubling search (fock.converge_dim) for the vacuum evolved
-    to time t: a physics estimate of its support, rounded up to a multiple of
-    16 in [32, 2048]."""
+    """First rung of the dim ladder (fock.converge_dim) for the vacuum evolved
+    to time t: the lowest rung (fock.ladder_dim) at or above a physics
+    estimate of its support, the estimate capped at 2048.  Even in epsilon,
+    as the support is: epsilon -> -epsilon is a pi/2 phase-space rotation."""
     if p.kerr > 0.0:
-        # Kerr confinement bounds <n> near (|delta| + 2 epsilon)/kerr.
-        guess = 32.0 + 4.0 * (abs(p.delta) + 2.0 * p.epsilon) / p.kerr
+        # Kerr confinement bounds <n> near (|delta| + 2|epsilon|)/kerr; the
+        # ladder's second rung confirms it, so the start need not overshoot
+        guess = 16.0 + 2.0 * (abs(p.delta) + 2.0 * abs(p.epsilon)) / p.kerr
     else:
         # Free squeezing: <n> = sinh^2(2 epsilon t).
         r = 2.0 * abs(p.epsilon) * t
         guess = 32.0 + 8.0 * math.sinh(min(r, 4.0)) ** 2
-    return int(min(max(32, 16 * math.ceil(guess / 16.0)), 2048))
+    return ladder_dim(min(guess, 2048.0))
 
 
 def squeezing_trace(

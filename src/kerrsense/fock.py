@@ -32,9 +32,17 @@ TAIL_FRACTION = 0.05
 TAIL_THRESHOLD = 1e-8
 TAIL_ERROR = 1e-3
 VARIANCE_FLOOR = -1e-10
-# Every auto-dim result (converge_dim) is stable to this under a dim doubling;
-# well inside the 1e-5 the results are documented to hold at.
+# Every auto-dim result (converge_dim) is stable to this between the rung it
+# reports and the rung below; well inside the 1e-5 the results are
+# documented to hold at.
 AUTO_DIM_RTOL = 1e-7
+# ... and the rung below holds less than this in its tail (see converge_dim),
+# far under TAIL_THRESHOLD.
+AUTO_DIM_TAIL = 1e-12
+# The auto-dim ladder: multiples of DIM_STEP, each the first at or above
+# DIM_GROWTH times the one below (next_dim).
+DIM_STEP = 16
+DIM_GROWTH = 1.25
 
 T = TypeVar("T")
 
@@ -502,46 +510,72 @@ def apply_quadrature(psi: np.ndarray, theta: float) -> np.ndarray:
 # dimension convergence
 
 
+def next_dim(dim: int) -> int:
+    """The rung above dim on the auto-dim ladder: the first multiple of
+    DIM_STEP at or above DIM_GROWTH * dim.  From DIM_STEP the rungs are
+    16, 32, 48, 64, 80, 112, 144, 192, 240, ..."""
+    return DIM_STEP * math.ceil(DIM_GROWTH * dim / DIM_STEP)
+
+
+def ladder_dim(guess: float) -> int:
+    """The lowest rung of the ladder from DIM_STEP at or above guess."""
+    dim = DIM_STEP
+    while dim < guess:
+        dim = next_dim(dim)
+    return dim
+
+
 def converge_dim(
     build: Callable[[int], T],
     figures: Callable[[T], float | np.ndarray],
+    tail: Callable[[T], float],
     start_dim: int,
     max_dim: int = 5120,
 ) -> tuple[T, int]:
-    """Double dim from start_dim until the monitored figure(s) stabilise.
+    """Climb the dim ladder (next_dim) from start_dim until a rung confirms
+    the one below it.
 
-    ``build(dim)`` computes a result at dim and ``figures(result)`` the
-    scalar or array it is judged by; dim is accepted when every entry changes
-    by less than AUTO_DIM_RTOL relative between dim and 2*dim.  Returns
-    ``(build(2*dim), 2*dim)``: the accepted result itself, not built again.
-    NaN entries compare equal to NaN (sentinel values pass through).
+    ``build(dim)`` computes a result at dim, ``figures(result)`` the scalar
+    or array it is judged by and ``tail(result)`` its tail population.  The
+    rung d' above d is accepted when every figure changes by less than
+    AUTO_DIM_RTOL relative between d and d' and the tail at d is below
+    AUTO_DIM_TAIL, so that two rungs which agree only because both stall
+    short of the support are not taken for converged.  Returns
+    ``(build(d'), d')``: the accepted result itself, not built again.  NaN
+    entries compare equal to NaN (sentinel values pass through).
     """
     dim = check_dim(start_dim)
-    prev = np.atleast_1d(np.asarray(figures(build(dim)), dtype=float))
+    result = build(dim)
+    prev, prev_tail = np.atleast_1d(np.asarray(figures(result), dtype=float)), tail(result)
     log.debug("converge_dim: tried dim %d", dim)
-    while 2 * dim <= max_dim:
-        result = build(2 * dim)
+    while next_dim(dim) <= max_dim:
+        lower, dim = dim, next_dim(dim)
+        result = build(dim)
         nxt = np.atleast_1d(np.asarray(figures(result), dtype=float))
         scale = np.maximum(np.maximum(np.abs(prev), np.abs(nxt)), 1e-12)
         diff = np.abs(nxt - prev) / scale
         both_nan = np.isnan(prev) & np.isnan(nxt)
         change = float(np.max(np.where(both_nan, 0.0, diff)))  # NaN if any entry is NaN
-        log.debug("converge_dim: tried dim %d, max relative change %.3e", 2 * dim, change)
-        if change < AUTO_DIM_RTOL:
-            log.debug("converge_dim: accepted dim %d (rel_tol %.1e)", 2 * dim, AUTO_DIM_RTOL)
-            return result, 2 * dim
-        prev = nxt
-        dim *= 2
+        held = prev_tail < AUTO_DIM_TAIL
+        log.debug(
+            "converge_dim: tried dim %d, max relative change %.3e, "
+            "tail at dim %d %.3e (guard %.0e %s)",
+            dim, change, lower, prev_tail, AUTO_DIM_TAIL, "held" if held else "failed",
+        )
+        if change < AUTO_DIM_RTOL and held:
+            log.debug("converge_dim: accepted dim %d (rel_tol %.1e)", dim, AUTO_DIM_RTOL)
+            return result, dim
+        prev, prev_tail = nxt, tail(result)
     log.debug("converge_dim: no convergence up to dim %d", max_dim)
     raise TruncationError(f"no dimension convergence up to dim {max_dim}")
 
 
 def at_dim(build: Callable[[int], T], figures, tail, dim: int | None, start_dim: int) -> T:
     """build(dim), or with dim=None the result converge_dim(build, figures,
-    start_dim) accepts; either way check_tail(tail(result)) runs once, on the
-    result returned, so the dims converge_dim rejects never warn."""
+    tail, start_dim) accepts; either way check_tail(tail(result)) runs once,
+    on the result returned, so the rungs converge_dim rejects never warn."""
     if dim is None:
-        result, _ = converge_dim(build, figures, start_dim)
+        result, _ = converge_dim(build, figures, tail, start_dim)
     else:
         result = build(dim)
     check_tail(tail(result))

@@ -7,15 +7,18 @@ computations are deterministic: identical configs produce byte-identical
 files.
 
 Dimension policy (fock.at_dim, the library's one): with dim=None the Fock
-dimension is doubled from dynamics.initial_dim until every monitored figure
-is stable to AUTO_DIM_RTOL, and the accepted pass is kept; only the rows
-returned go through fock.check_tail.  A parameter group (one delta, epsilon,
-kerr, gamma over the Kt and sigma2 axes), lossless or lossy, is one pass per
-dimension: the vacuum evolves to all of the group's times at once (one GEMM
-without loss, one chained Lindblad pass with it), and under loss the echo
-readouts evolve once backwards.  Its dimension is doubled over whole passes
-until the row at the largest Kt, where the state support is widest, is
-stable.  A single point is the one-point group.
+dimension climbs the ladder of fock.converge_dim (multiples of 16, each about
+1.25 x the one below) from dynamics.initial_dim, a rung at the state's
+support, until a rung's monitored figures agree with the rung below to
+AUTO_DIM_RTOL and the rung below has a negligible tail; that rung's pass is
+kept, and only the rows returned go through fock.check_tail.  A parameter
+group (one delta, epsilon, kerr, gamma over the Kt and sigma2 axes),
+lossless or lossy, is one pass per dimension: the vacuum evolves to all of
+the group's times at once (one GEMM without loss, one chained Lindblad pass
+with it), and under loss the echo readouts evolve once backwards.  Its
+dimension climbs over whole passes, judged by the row at the largest Kt,
+where the state support is widest, and the tail of all its rows.  A single
+point is the one-point group.
 Every row keeps the state its figures came from (SweepRow.state), so the
 Wigner snapshots read the state of a row instead of evolving it again.
 
@@ -40,7 +43,6 @@ from . import dynamics, fock, metrology
 from .config import ConfigError, ExperimentConfig
 from .dynamics import HamiltonianParams, LossParams, NoInteriorMinimumError
 from .fock import AUTO_DIM_RTOL, QuantumState
-from .metrology import DetectionNoise
 from .wigner import DEFAULT_GRID, PhaseGrid, wigner
 
 __all__ = [
@@ -202,12 +204,24 @@ def _state_rows(
 ) -> list[SweepRow]:
     """One row per sigma2 for a prepared state, which every row keeps; echo is
     its (r, cov) echo response (metrology.echo_responses), or None to leave
-    chi2inv_mai out."""
-    _, _, n_mean = fock.ladder_moments(state)
-    v_min, _ = dynamics.min_variance(state)
-    chi2inv_2 = metrology.moment_sensitivity(state, 2).value if with_k2 else None
-    chi2inv_3 = metrology.moment_sensitivity(state, 3).value if with_k3 else None
-    f_q = metrology.qfi_max(state).value if with_qfi else None
+    chi2inv_mai out.
+
+    The (X, P) covariance is formed once from the ladder moments: v_min, each
+    chi2inv_1 = 1/(v_min + sigma2) and, for a pure state, f_q = 4 V_max.
+    chi2inv_2 and chi2inv_3 read one moment table, of the highest order
+    wanted, whose leading block is the order-2 one.
+    """
+    ma, ma2, n_mean = fock.ladder_moments(state)
+    cov = fock.covariance_from_moments(ma, ma2, n_mean)
+    v_min, _, v_max = (float(v) for v in dynamics.quadrature_extremes(cov))
+    moments = None
+    if with_k2 or with_k3:
+        moments = metrology.moment_matrices(state, 3 if with_k3 else 2)
+    chi2inv_2 = metrology.moment_sensitivity(state, 2, moments).value if with_k2 else None
+    chi2inv_3 = metrology.moment_sensitivity(state, 3, moments).value if with_k3 else None
+    f_q = None
+    if with_qfi:
+        f_q = 4.0 * v_max if state.is_pure else metrology.qfi_max(state).value
     rows = []
     for sigma2 in sigma2s:
         row = SweepRow(
@@ -219,13 +233,13 @@ def _state_rows(
             dim=state.dim,
             n_mean=float(n_mean),
             v_min=v_min,
+            chi2inv_1=1.0 / (v_min + sigma2),
             chi2inv_2=chi2inv_2,
             chi2inv_3=chi2inv_3,
             f_q=f_q,
             sigma2=sigma2,
             state=state,
         )
-        row.chi2inv_1 = metrology.noisy_linear_sensitivity(state, DetectionNoise(sigma2)).value
         if echo is not None:
             row.chi2inv_mai = metrology.readout_optimum(*echo, sigma2).value
         rows.append(row)
@@ -262,7 +276,8 @@ def evaluate_point(
     dim: int | None = None,
     **flags,
 ) -> SweepRow:
-    """Evaluate one grid point; dim=None doubles until figures stabilise."""
+    """Evaluate one grid point; dim=None climbs the dim ladder until the
+    figures agree between two rungs (see _group_dim)."""
     return _group_dim(delta, epsilon, kerr, gamma, [kt], [sigma2], dim, **flags)[0]
 
 
@@ -309,8 +324,10 @@ def _group_dim(
 ) -> list[SweepRow]:
     """The group's rows at dim, or with dim=None at its converged dimension.
 
-    Doubles over whole group passes, monitoring the (max Kt, sigma2s[0]) row,
-    where the state support is widest, from dynamics.initial_dim at that Kt.
+    Climbs the ladder of fock.converge_dim over whole group passes from
+    dynamics.initial_dim at the largest Kt, monitoring the (max Kt,
+    sigma2s[0]) row, where the state support is widest, and guarding on the
+    largest tail of the group's rows.
     """
     kt_ref = max(kt_values)
     i_ref = list(kt_values).index(kt_ref) * len(sigma2s)

@@ -359,12 +359,22 @@ def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
     )
 
 
-def moment_sensitivity(state: QuantumState, basis: MomentBasis | int) -> SensitivityReport:
+def moment_sensitivity(
+    state: QuantumState,
+    basis: MomentBasis | int,
+    moments: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SensitivityReport:
     """Method-of-moments chi^-2 optimised over generator direction and
     measurement combination: best_readout of the basis's moment_matrices.
     theta_opt is the measured quadrature's angle, so only order 1 has one.
+
+    moments, the state's moment_matrices of this order or a higher one, saves
+    building them: a lower-order basis is the leading entries of a higher
+    one, so its C and Gamma are their leading blocks.
     """
-    report = best_readout(*moment_matrices(state, basis))
+    n = _basis_length(_order(basis))
+    c, gamma = moments if moments is not None else moment_matrices(state, basis)
+    report = best_readout(c[:, :n], gamma[:n, :n])
     if _order(basis) != 1:
         report.theta_opt = None
     return report

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -491,7 +492,7 @@ def test_squeezing_trace_matches_pointwise_evolution():
 def test_squeezing_trace_auto_dim_converges():
     p = HamiltonianParams(epsilon=2.0, kerr=1.0)
     trace = squeezing_trace(p, np.linspace(0.0, 0.3, 4))
-    assert trace.dim >= 80
+    assert trace.dim == 48
     ref = squeezing_trace(p, np.linspace(0.0, 0.3, 4), dim=2 * trace.dim)
     np.testing.assert_allclose(trace.v_min, ref.v_min, rtol=1e-7)
 
@@ -501,9 +502,16 @@ def test_squeezing_trace_logs_the_dimension_ladder(caplog):
     with caplog.at_level(logging.DEBUG, logger="kerrsense"):
         trace = squeezing_trace(p, np.linspace(0.0, 0.3, 4))
     messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.fock"]
-    assert messages[0] == "converge_dim: tried dim 48"
-    assert messages[1].startswith("converge_dim: tried dim 96, max relative change ")
-    assert messages[-1].startswith(f"converge_dim: accepted dim {trace.dim} ")
+    # initial_dim starts at the support (rung 32), and the rung above, 48,
+    # confirms it; each comparison reports the lower rung's tail and guard
+    assert messages[0] == "converge_dim: tried dim 32"
+    assert re.fullmatch(
+        r"converge_dim: tried dim 48, max relative change \S+, "
+        r"tail at dim 32 \S+ \(guard 1e-12 held\)",
+        messages[1],
+    )
+    assert messages[2:] == ["converge_dim: accepted dim 48 (rel_tol 1.0e-07)"]
+    assert trace.dim == 48
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
 

@@ -1,5 +1,6 @@
 """Operator algebra, state constructors, and moments on the truncated space."""
 
+import logging
 import math
 import warnings
 
@@ -33,6 +34,7 @@ from kerrsense.fock import (
     state_fidelity,
     variance,
 )
+from kerrsense.harness import _row_figures, evaluate_point
 
 
 def random_ket(dim: int, seed: int) -> QuantumState:
@@ -400,38 +402,97 @@ def test_apply_helpers_match_matrix_products():
 
 
 # ---------------------------------------------------------------------------
-# dimension doubling
+# dimension ladder
+
+
+def test_dim_ladder_rungs_grow_by_a_quarter_in_steps_of_16():
+    rungs = [fock.DIM_STEP]
+    while rungs[-1] < 5120:
+        rungs.append(fock.next_dim(rungs[-1]))
+    assert rungs[:9] == [16, 32, 48, 64, 80, 112, 144, 192, 240]
+    for lower, upper in zip(rungs, rungs[1:]):
+        # 1.25 x the rung below, rounded up to the next multiple of 16
+        assert upper % 16 == 0
+        assert 1.25 * lower <= upper < 1.25 * lower + 16
+    # ladder_dim rounds up to a rung
+    assert [fock.ladder_dim(r) for r in rungs] == rungs
+    assert [fock.ladder_dim(r + 1) for r in rungs[:-1]] == rungs[1:]
+    assert fock.ladder_dim(0.0) == 16
 
 
 def test_converge_dim_tracks_coherent_occupation():
     alpha = 2.0
     built = []
 
-    def builder(dim: int) -> float:
+    def builder(dim: int) -> np.ndarray:
         built.append(dim)
         pops = np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * np.arange(dim))
-        pops /= factorials(dim)
-        return float(np.arange(dim) @ pops)
+        return pops / factorials(dim)
 
-    occupation, dim = converge_dim(builder, lambda n: n, start_dim=8)
-    assert abs(occupation - abs(alpha) ** 2) < 1e-8
-    assert dim % 8 == 0 and dim > 8
-    # each dim is built once, and the accepted build is returned, not rebuilt
-    assert built == [8 * 2**i for i in range(len(built))] and built[-1] == dim
+    pops, dim = converge_dim(
+        builder, lambda p: np.arange(p.size) @ p, fock.tail_populations, start_dim=8
+    )
+    assert abs(np.arange(dim) @ pops - abs(alpha) ** 2) < 1e-8
+    assert dim % 16 == 0 and dim > 8
+    # each rung is built once, and the accepted build is returned, not rebuilt
+    assert built == [8, 16, 32, 48] and built[-1] == dim
+
+
+def test_converge_dim_tail_guard_rejects_agreeing_rungs(caplog):
+    # the figure is the same at every rung, but the rungs below 48 keep
+    # 1e-10 in their tails: two of them agreeing proves nothing
+    def builder(dim: int) -> tuple[int, float]:
+        return dim, 1e-10 if dim < 48 else 0.0
+
+    with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
+        _, dim = converge_dim(builder, lambda r: 1.0, lambda r: r[1], start_dim=16)
+    messages = [r.getMessage() for r in caplog.records]
+    assert dim == 64
+    assert messages[1] == (
+        "converge_dim: tried dim 32, max relative change 0.000e+00, "
+        "tail at dim 16 1.000e-10 (guard 1e-12 failed)"
+    )
+    assert messages[3].endswith("tail at dim 48 0.000e+00 (guard 1e-12 held)")
+    assert messages[4] == "converge_dim: accepted dim 64 (rel_tol 1.0e-07)"
 
 
 def test_converge_dim_passes_nan_sentinels():
     def builder(dim: int) -> np.ndarray:
         return np.array([np.nan, 1.0])
 
-    figures, dim = converge_dim(builder, lambda f: f, start_dim=16)
+    figures, dim = converge_dim(builder, lambda f: f, lambda f: 0.0, start_dim=16)
     assert np.isnan(figures[0]) and figures[1] == 1.0
     assert dim == 32
 
 
 def test_converge_dim_raises_without_convergence():
     with pytest.raises(TruncationError):
-        converge_dim(lambda d: float(d), lambda f: f, start_dim=16, max_dim=128)
+        converge_dim(lambda d: float(d), lambda f: f, lambda f: 0.0, start_dim=16, max_dim=128)
+
+
+def test_fig2_grid_converges_in_two_passes(monkeypatch):
+    # a 6 x 6 sample of the fig2 map with k3: initial_dim starts every point
+    # at its support, so the second rung confirms the first, and the
+    # accepted figures hold against 2 x the accepted dim
+    passes = []
+    converge = fock.converge_dim
+
+    def counting(build, *args):
+        built = []
+        result = converge(lambda d: built.append(d) or build(d), *args)
+        passes.append(len(built))
+        return result
+
+    monkeypatch.setattr(fock, "converge_dim", counting)
+    for delta in np.linspace(-10.0, 10.0, 6):
+        for epsilon in np.linspace(0.0, 5.0, 6):
+            point = (delta, epsilon, 1.0, 0.0, 0.5)
+            row = evaluate_point(*point, with_k3=True)
+            ref = evaluate_point(*point, dim=2 * row.dim, with_k3=True)
+            np.testing.assert_allclose(
+                _row_figures(row), _row_figures(ref), rtol=fock.AUTO_DIM_RTOL, err_msg=str(point)
+            )
+    assert passes == [2] * 36
 
 
 def test_identity_factory():

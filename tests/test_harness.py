@@ -122,8 +122,8 @@ def test_result_to_dict_maps_nan_to_none():
 
 
 def test_evaluate_point_reference_values():
-    # Frozen reference at (0, 2, 1), Kt = 0.5, dim 80; stable under dim
-    # doubling to ~1e-12, so rel 1e-6 pins real regressions only.
+    # Frozen reference at (0, 2, 1), Kt = 0.5, dim 80; stable under a
+    # larger dim to ~1e-12, so rel 1e-6 pins real regressions only.
     row = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.5, dim=80)
     assert row.chi2inv_1 == pytest.approx(0.8455323891038383, rel=1e-6)
     assert row.f_q == pytest.approx(18.724432440030327, rel=1e-6)
@@ -140,6 +140,20 @@ def test_evaluate_point_auto_dim_is_converged():
     again = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.2, dim=2 * row.dim)
     for name in ("n_mean", "v_min", "chi2inv_1", "f_q", "chi2inv_mai"):
         assert getattr(row, name) == pytest.approx(getattr(again, name), rel=1e-6)
+
+
+def test_auto_dim_is_even_in_epsilon():
+    # epsilon -> -epsilon is a pi/2 phase-space rotation: the support, the
+    # start of the ladder and every figure are the same for both signs
+    cases = [(0.0, 5.0, 1.0, 0.5), (-3.0, 1.5, 0.5, 0.8), (0.5, 1.0, 0.0, 0.6)]
+    for delta, epsilon, kerr, t in cases:
+        plus, minus = (HamiltonianParams(delta, s * epsilon, kerr) for s in (1.0, -1.0))
+        assert dynamics.initial_dim(plus, t) == dynamics.initial_dim(minus, t)
+    rows = [evaluate_point(0.0, s, 1.0, 0.0, 0.5, with_k2=True, with_k3=True) for s in (5.0, -5.0)]
+    assert rows[0].dim == rows[1].dim
+    np.testing.assert_allclose(
+        harness._row_figures(rows[0]), harness._row_figures(rows[1]), rtol=AUTO_DIM_RTOL
+    )
 
 
 def _fig1_k0_trace(monkeypatch):
@@ -204,23 +218,23 @@ def test_every_auto_dim_result_has_one_policy(monkeypatch, caplog, entry):
     assert len(accepted) == 1
     dim = int(accepted[0].split()[3])
     if entry == "fig1-k0-trace":
-        assert (start, dim) == (144, 2304)
+        assert (start, dim) == (144, 960)
     np.testing.assert_allclose(auto, figures(2 * dim), rtol=AUTO_DIM_RTOL)
 
 
-def test_auto_dim_rejected_dims_do_not_warn():
+def test_auto_dim_rejected_dims_do_not_warn(auto_dim_point):
     # each climbs through dims whose tails pass TAIL_THRESHOLD (1.6e-7 at dim
     # 48 for the first); only the accepted result is checked, so under the
     # suite's error filter on TruncationWarning these return
-    assert evaluate_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == 192
-    assert evaluate_point(0.0, 2.0, 0.0, 0.0, 0.5).dim == 2304
+    assert auto_dim_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == 144
+    assert evaluate_point(0.0, 2.0, 0.0, 0.0, 0.5).dim == 960
     assert mai_sensitivity(HamiltonianParams(0.0, 2.0, 0.0), 0.5).value > 0.0
 
 
 def test_auto_dim_is_the_same_with_k3(monkeypatch):
     # a near-vacuum point whose order-3 covariance has condition ~4e9: the
-    # k = 3 figure must not keep the doubling search climbing (the cap keeps
-    # a regression cheap; the point accepts dim 160)
+    # k = 3 figure must not keep the dim ladder climbing (the cap keeps a
+    # regression cheap; the point accepts dim 64)
     monkeypatch.setattr(fock, "converge_dim", functools.partial(fock.converge_dim, max_dim=640))
     point = (-9.605, 0.0217, 1.0, 0.0, 0.5)
     plain = evaluate_point(*point, dim=None)
@@ -530,7 +544,7 @@ def _recording_group_pass(monkeypatch) -> list:
 
 @pytest.mark.parametrize("experiment", sorted(GROUP_RUNNERS))
 def test_group_is_one_pass_per_dim(monkeypatch, experiment):
-    # auto dim from 16 converges at 32 or 64 for these weakly squeezed groups,
+    # auto dim from 16 converges at 32 for these weakly squeezed groups,
     # lossless and lossy alike; the Kt axis is unsorted and non-uniform, with
     # 0 and a repeated value, and from Kt 0.35 on the lossless echo beats the
     # linear readout, as the fig3 ordering check requires
@@ -548,7 +562,7 @@ def test_group_is_one_pass_per_dim(monkeypatch, experiment):
         dims = [d for g, d, _ in passes if g == gamma]
         group_dim = evaluate_point(0.0, 0.5, 1.0, gamma, max(kt), cfg.sigma2[0], **flags).dim
         # one pass per dim tried, ending at the dim the probe point accepts
-        assert dims == [16 * 2**i for i in range(len(dims))]
+        assert dims[0] == 16 and all(fock.next_dim(a) == b for a, b in zip(dims, dims[1:]))
         assert len(dims) >= 2 and dims[-1] == group_dim
         rows = [rows for g, d, rows in passes if g == gamma and d == group_dim][0]
         assert [(r.kt, r.sigma2) for r in rows] == [(k, s) for k in kt for s in sigma2s]

@@ -305,6 +305,19 @@ def test_moment_sensitivity_accepts_basis_or_order():
     assert via_order == via_basis
 
 
+def test_moment_sensitivity_reads_the_leading_block_of_a_higher_order_table():
+    # the order-2 basis is the leading entries of the order-3 one, so one
+    # order-3 table serves both orders, for pure and mixed states
+    p = HamiltonianParams(delta=1.0, epsilon=2.0, kerr=1.0)
+    lossy = evolve_lindblad(QuantumState.vacuum(32), p, LossParams(0.2), 0.3)
+    for state in (kerr_state(60, delta=1.0, eps=2.0, kt=0.3), lossy):
+        table = moment_matrices(state, 3)
+        for order in (1, 2, 3):
+            own = moment_sensitivity(state, order).value
+            shared = moment_sensitivity(state, order, table).value
+            assert shared == pytest.approx(own, rel=1e-12)
+
+
 def test_covariance_matrix_is_symmetric_psd():
     state = random_ket(24, seed=9)
     gamma = moment_matrices(state, moment_basis(24, 2))[1]
