@@ -8,6 +8,8 @@ location/format, Fock dimension policy, and parallelism.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -88,9 +90,6 @@ def main(argv=None) -> int:
         dim = _parse_dim(args.dim)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        result = harness.run_experiment(
-            cfg, dim=dim, threads=args.threads, with_k3=args.with_k3
-        )
         if args.out is not None:
             out = args.out
         elif cfg.output is not None:
@@ -99,6 +98,11 @@ def main(argv=None) -> int:
             out = Path("wigner.json")
         else:
             out = Path(f"{args.experiment}.{args.format}")
+        if not out.parent.is_dir():  # before the computation, not after it
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+        result = harness.run_experiment(
+            cfg, dim=dim, threads=args.threads, with_k3=args.with_k3
+        )
         written = harness.emit(result, out, fmt=args.format)
         for path in written:
             print(path)

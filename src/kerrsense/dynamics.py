@@ -37,12 +37,14 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .fock import (
+    AUTO_DIM_TAIL,
     Operator,
     QuantumState,
     at_dim,
     check_dim,
     check_tail,
     covariance_from_moments,
+    eigh_2x2,
     ket_ladder_moments,
     ladder_dim,
     normalized_kets,
@@ -380,7 +382,9 @@ def vacuum_states(
     Lindblad pass.  No truncation check: evolve_vacuum is the checked form."""
     if loss.gamma > 0.0:
         return _lindblad_states(QuantumState.vacuum(dim), p, loss, times)
-    return [QuantumState.from_ket(ket) for ket in vacuum_kets(p, times, dim).T]
+    kets = fock_kets(p, times, dim).T.copy()  # fock_kets has checked them once
+    kets.setflags(write=False)
+    return [QuantumState(ket, "pure", dim) for ket in kets]
 
 
 def evolve_vacuum(
@@ -396,7 +400,7 @@ def evolve_vacuum(
 
 def quadrature_extremes(cov: np.ndarray):
     """(V_min, theta_opt, V_max) of one 2x2 (X, P) covariance or a stack of them."""
-    evals, evecs = np.linalg.eigh(cov)
+    evals, evecs = eigh_2x2(cov)
     theta = np.arctan2(evecs[..., 1, 0], evecs[..., 0, 0]) % math.pi
     return np.maximum(evals[..., 0], 0.0), theta, evals[..., 1]
 
@@ -431,30 +435,35 @@ class VacuumTrajectory:
     dim: int
 
 
-def vacuum_kets(p: HamiltonianParams, t_grid, dim: int) -> np.ndarray:
-    """exp(-i H t)|0> for every time of t_grid, as the columns of a block.
+def fock_kets(p: HamiltonianParams, t_grid, dim: int, level: int = 0) -> np.ndarray:
+    """exp(-i H t)|level> for every time of t_grid, as the columns of a block;
+    level 0 is the vacuum.
 
-    One real GEMM in the even sector, V (cos(w t^T) c0 | -sin(w t^T) c0)
-    with c0 = V[0] the vacuum's eigenbasis components; every column gets the
-    checks of from_ket and is normalised.
+    One real GEMM in the sector of the level's parity, V (cos(w t^T) c |
+    -sin(w t^T) c) with c = V[level // 2] the level's eigenbasis components;
+    every column gets the checks of from_ket (fock.normalized_kets) and is
+    normalised.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
     dim = check_dim(dim)
-    evals, evecs = eigensystem(dim, p)
+    if not 0 <= level < dim:
+        raise ValueError(f"Fock level {level} outside 0..{dim - 1}")
+    parity = level % 2
+    evals, evecs = eigensystem(dim, p, parity)
     wt = np.outer(evals, t_grid)
-    c0 = evecs[0][:, None]
-    half = evecs @ np.concatenate([np.cos(wt) * c0, -np.sin(wt) * c0], axis=1)
+    c = evecs[level // 2][:, None]
+    half = evecs @ np.concatenate([np.cos(wt) * c, -np.sin(wt) * c], axis=1)
     kets = np.zeros((dim, t_grid.size), dtype=complex)
-    kets[0::2] = half[:, : t_grid.size] + 1j * half[:, t_grid.size :]
+    kets[parity::2] = half[:, : t_grid.size] + 1j * half[:, t_grid.size :]
     return normalized_kets(kets)
 
 
 def vacuum_trajectory(p: HamiltonianParams, t_grid, dim: int) -> VacuumTrajectory:
-    """Evolve the vacuum to every time of t_grid at once (vacuum_kets); the
+    """Evolve the vacuum to every time of t_grid at once (fock_kets); the
     figures come from vectorised ladder moments."""
-    kets = vacuum_kets(p, t_grid, dim)
+    kets = fock_kets(p, t_grid, dim)
     ma, ma2, mn = ket_ladder_moments(kets)
     v_min, theta, v_max = quadrature_extremes(covariance_from_moments(ma, ma2, mn))
     return VacuumTrajectory(
@@ -479,9 +488,12 @@ def initial_dim(p: HamiltonianParams, t: float) -> int:
         # ladder's second rung confirms it, so the start need not overshoot
         guess = 16.0 + 2.0 * (abs(p.delta) + 2.0 * abs(p.epsilon)) / p.kerr
     else:
-        # Free squeezing: <n> = sinh^2(2 epsilon t).
-        r = 2.0 * abs(p.epsilon) * t
-        guess = 32.0 + 8.0 * math.sinh(min(r, 4.0)) ** 2
+        # Free squeezing to r = 2|epsilon| t: the populations fall off as
+        # tanh(r)^n, so start where they reach the ladder's tail guard
+        r = min(2.0 * abs(p.epsilon) * abs(t), 4.0)
+        guess = 32.0
+        if r > 0.0:
+            guess = max(guess, math.log(AUTO_DIM_TAIL) / math.log(math.tanh(r)))
     return ladder_dim(min(guess, 2048.0))
 
 

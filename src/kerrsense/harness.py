@@ -15,7 +15,8 @@ kept, and only the rows returned go through fock.check_tail.  A parameter
 group (one delta, epsilon, kerr, gamma over the Kt and sigma2 axes),
 lossless or lossy, is one pass per dimension: the vacuum evolves to all of
 the group's times at once (one GEMM without loss, one chained Lindblad pass
-with it), and under loss the echo readouts evolve once backwards.  Its
+with it); without loss the echo needs U_t|1> at the same times, one more
+GEMM, and under loss the echo readouts evolve once backwards.  Its
 dimension climbs over whole passes, judged by the row at the largest Kt,
 where the state support is widest, and the tail of all its rows.  A single
 point is the one-point group.
@@ -296,8 +297,9 @@ def _group_pass(
 
     The vacuum evolves to the group's sorted distinct times at once
     (dynamics.vacuum_states), and the echo responses of all its states are
-    one call (metrology.echo_responses): under loss the readouts evolve
-    backwards once through the same times.
+    one call (metrology.echo_responses): without loss U_t|1> evolves to the
+    same times in one GEMM, under loss the readouts evolve backwards once
+    through them.
     """
     p = HamiltonianParams(delta=delta, epsilon=epsilon, kerr=kerr)
     loss = LossParams(gamma)

@@ -15,7 +15,14 @@ a Rayleigh quotient |c m|^2 / (m^T Gamma m) with response c and covariance
 Gamma. The method of moments (observables of polynomial order k) and the
 echo (quadratures after the reversal) are both this quotient, and both are
 solved by best_readout as the top eigenpair of the pencil (c^T c, Gamma) on
-the range of Gamma.
+the range of Gamma; its 2x2 eigenproblems are closed forms (fock.eigh_2x2).
+
+Without loss the echo is perfect: the state psi = U_t|0> prepared for time t
+and reversed for the same time returns to |0> exactly, so the readout
+covariance is I/2 and the response to a kick along G_i is the overlap
+z_i = <G_i psi|U_t|1> (a Loschmidt echo), with U_t|1> for all of a group's
+times from one GEMM in the odd parity sector. Under loss the readouts evolve
+backwards once in the Heisenberg picture instead.
 
 The moment basis of order 3 (X, P, their three quadratic and four cubic
 symmetrised products) is built once per dim as one sparse CSR stack of nine
@@ -43,10 +50,11 @@ from .fock import (
     Operator,
     QuantumState,
     annihilation,
-    apply_quadrature,
     at_dim,
     check_dim,
     covariance_from_moments,
+    eigh_2x2,
+    ket_ladder_moments,
     quadrature_covariance,
     sparse_annihilation,
     variance,
@@ -89,7 +97,7 @@ class SensitivityReport:
 
 
 def _angle_of(vec: np.ndarray) -> float:
-    return float(np.arctan2(vec[1], vec[0])) % math.pi
+    return math.atan2(vec[1], vec[0]) % math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ def qfi_mixed(state: QuantumState, eig_cutoff: float = QFI_EIG_CUTOFF) -> Sensit
     f[0, 0] = float(np.sum(w * np.abs(x_t) ** 2))
     f[1, 1] = float(np.sum(w * np.abs(p_t) ** 2))
     f[0, 1] = f[1, 0] = float(np.sum(w * (x_t * p_t.conj()).real))
-    evals, evecs = np.linalg.eigh(f)
+    evals, evecs = eigh_2x2(f)
     n_opt = evecs[:, 1]
     return SensitivityReport(
         value=float(evals[1]), phi_opt=_angle_of(n_opt), n_opt=n_opt
@@ -204,8 +212,7 @@ def qfi_mixed(state: QuantumState, eig_cutoff: float = QFI_EIG_CUTOFF) -> Sensit
 def qfi_max(state: QuantumState) -> SensitivityReport:
     """Direction-optimised displacement QFI; fast 4*V_max path for pure states."""
     if state.is_pure:
-        gamma = quadrature_covariance(state)
-        evals, evecs = np.linalg.eigh(gamma)
+        evals, evecs = eigh_2x2(quadrature_covariance(state))
         n_opt = evecs[:, 1]
         return SensitivityReport(
             value=4.0 * float(evals[1]), phi_opt=_angle_of(n_opt), n_opt=n_opt
@@ -334,24 +341,26 @@ def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
     equilibrated to unit variance, and directions whose equilibrated
     variance is below GAMMA_RANGE_RTOL of the largest are left out. n_opt is
     the top eigenvector of c gamma^+ c^T and m_opt is proportional to
-    gamma^+ c^T n_opt.
+    gamma^+ c^T n_opt.  The 2x2 eigenproblems (the final pencil, and gamma
+    itself when it is 2x2, as in the echo) are solved in closed form.
     """
-    var = np.diag(gamma)
+    var = gamma.diagonal()
     keep = var > DEGENERATE_VARIANCE
     s = 1.0 / np.sqrt(var[keep])
-    lam, u = np.linalg.eigh(gamma[np.ix_(keep, keep)] * np.outer(s, s))
+    scaled = gamma[keep][:, keep] * (s[:, None] * s)
+    lam, u = eigh_2x2(scaled) if len(s) == 2 else np.linalg.eigh(scaled)
     in_range = lam > GAMMA_RANGE_RTOL * lam.max(initial=0.0)
     whiten = s[:, None] * (u[:, in_range] / np.sqrt(lam[in_range]))
     b = c[:, keep] @ whiten
-    evals, evecs = np.linalg.eigh(b @ b.T)
-    n_opt = evecs[:, -1]
+    evals, evecs = eigh_2x2(b @ b.T)
+    n_opt = evecs[:, 1]
     m_opt = np.zeros(len(var))
     m_opt[keep] = whiten @ (b.T @ n_opt)
-    norm = float(np.linalg.norm(m_opt))
+    norm = math.sqrt(m_opt @ m_opt)
     if norm > 0:
         m_opt = m_opt / norm
     return SensitivityReport(
-        value=float(max(evals[-1], 0.0)),
+        value=max(float(evals[1]), 0.0),
         phi_opt=_angle_of(n_opt),
         theta_opt=_angle_of(m_opt),
         n_opt=n_opt,
@@ -396,25 +405,48 @@ def readout_optimum(r: np.ndarray, cov: np.ndarray, sigma2: float) -> Sensitivit
     return best_readout(r, cov + sigma2 * np.eye(2))
 
 
+# M_j|0> = c_j |1> for the measured quadratures M_j = X, P
+_VACUUM_KICKS = np.array([1.0, 1j]) / math.sqrt(2.0)
+
+
 def _mai_operator_route(
-    psi: np.ndarray,
+    kets: np.ndarray,
     p: dynamics.HamiltonianParams,
-    reversal_time: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lossless echo response (r, cov) of the prepared ket psi, from the
-    evolved measurement U^dag M U with U = exp(+i H reversal_time)."""
-    psi_rev = dynamics.propagate(psi, p, -reversal_time)  # state in the reversed frame
-    state_rev = QuantumState.from_ket(psi_rev)
+    times: list[float],
+    reversal_times: list[float],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Lossless echo responses (r, cov) of the prepared kets psi = U_t|0>,
+    U_t = exp(-i H t), the columns of kets, one per time.
 
-    # r[i, j] = 2 Im <psi| G_i U^dag M_j U |psi> = d<M_j>/dd.
-    # The quadratures flip parity, so these kets propagate in the odd sector.
-    def quadratures(vec: np.ndarray) -> np.ndarray:
-        return np.stack([apply_quadrature(vec, 0.0), apply_quadrature(vec, math.pi / 2.0)], axis=1)
-
-    g_vecs = quadratures(psi)
-    m_vecs = dynamics.propagate(quadratures(psi_rev), p, reversal_time)
-    r = 2.0 * (g_vecs.conj().T @ m_vecs).imag
-    return r, quadrature_covariance(state_rev)
+    Reversed for tau, psi becomes phi = U_tau^dag psi = U_(t - tau)|0>, whose
+    quadrature covariance is the readout's, and the kick exp(-i d G_i) moves
+    the readout of M_j by r[i, j] d with r[i, j] = i <[G_i, U_tau M_j
+    U_tau^dag]> = -2 Im <G_i psi|U_tau M_j phi>.  The echo of a row's own
+    time is perfect, phi = |0>: cov = I/2 and, as M_j|0> = c_j|1>,
+    r = -sqrt(2) [[Im z_X, Re z_X], [Im z_P, Re z_P]] with the overlaps
+    z_i = <G_i psi|U_t|1>, where U_t|1> for every time is one GEMM in the odd
+    sector (dynamics.fock_kets) and psi is never propagated back.  Only
+    mai_sensitivity(reversal_time=...) reverses for another time; then phi is
+    dynamics.fock_kets at t - tau and M_j phi propagates for tau.
+    """
+    dim = kets.shape[0]
+    shifts = np.asarray(times, dtype=float) - np.asarray(reversal_times, dtype=float)
+    if not shifts.any():  # phi = |0>
+        ones = dynamics.fock_kets(p, reversal_times, dim, level=1)
+        echoed = ones[:, None] * _VACUUM_KICKS[:, None]
+        covs = np.broadcast_to(np.eye(2) / 2.0, (len(shifts), 2, 2))
+    else:
+        phi = dynamics.fock_kets(p, shifts, dim)
+        kicked = _basis_products(phi, 2)  # (X phi, P phi)
+        echoed = np.stack(
+            [dynamics.propagate(kicked[:, :, k].T, p, tau) for k, tau in enumerate(reversal_times)],
+            axis=-1,
+        )
+        covs = covariance_from_moments(*ket_ladder_moments(phi))
+    # r[k, i, j] = -2 Im <G_i psi_k|echoed[:, j, k]>
+    g_psi = _basis_products(kets, 2).transpose(2, 0, 1)
+    r = -2.0 * (g_psi.conj() @ echoed.transpose(2, 0, 1)).imag
+    return list(zip(r, covs))
 
 
 def _readout_block(dim: int) -> np.ndarray:
@@ -461,18 +493,23 @@ def echo_responses(
     states: list[QuantumState],
     p: dynamics.HamiltonianParams,
     loss: dynamics.LossParams,
-    reversal_times: list[float],
+    times: list[float],
+    reversal_times: list[float] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Echo responses (r, cov) of prepared states, for readout_optimum.
+    """Echo responses (r, cov) of the vacuum evolved to times under (p, loss),
+    the states, for readout_optimum.
 
-    Each state is displaced, evolves for its reversal time under -H with the
-    loss dissipator, and a linear quadrature is measured. Both routes are
-    exact: pure states without loss take the evolved measurement
-    (_mai_operator_route), everything else the Heisenberg-picture readouts,
-    evolved once for all states (_mai_derivative_route).
+    Each state is displaced, evolves for its reversal time (default: its own
+    time) under -H with the loss dissipator, and a linear quadrature is
+    measured. Both routes are exact: pure states without loss take the
+    perfect-echo overlaps (_mai_operator_route), everything else the
+    Heisenberg-picture readouts, evolved once for all states
+    (_mai_derivative_route).
     """
+    reversal_times = times if reversal_times is None else reversal_times
     if loss.gamma == 0.0 and all(s.is_pure for s in states):
-        return [_mai_operator_route(s.ket, p, tau) for s, tau in zip(states, reversal_times)]
+        kets = np.stack([s.ket for s in states], axis=1)
+        return _mai_operator_route(kets, p, times, reversal_times)
     rhos = [s.density_matrix() for s in states]
     return _mai_derivative_route(rhos, p, reversal_times, loss)
 
@@ -499,7 +536,7 @@ def mai_sensitivity(
 
     def run(d: int) -> tuple[SensitivityReport, float]:
         (state,) = dynamics.vacuum_states(d, p, loss, [t])
-        ((r, cov),) = echo_responses([state], p, loss, [t_rev])
+        ((r, cov),) = echo_responses([state], p, loss, [t], [t_rev])
         return readout_optimum(r, cov, sigma2), state.tail_population()
 
     start = dynamics.initial_dim(p, max(t, t_rev))

@@ -124,6 +124,22 @@ def test_vacuum_evolution_never_solves_the_odd_sector():
     assert dynamics._eigensystem.cache_info().misses == before + 1
 
 
+def test_fock_kets_evolve_each_level():
+    # exp(-i H t)|n> from one GEMM in the sector of n's parity, against dense expm
+    dim = 24
+    p = HamiltonianParams(delta=0.4, epsilon=0.7, kerr=0.3)
+    times = [0.0, 0.35, 1.1]
+    h = hamiltonian(dim, p).matrix
+    for level in (0, 1, 2, 3):
+        kets = dynamics.fock_kets(p, times, dim, level=level)
+        assert np.all(kets[1 - level % 2 :: 2] == 0.0)
+        for k, t in enumerate(times):
+            expected = scipy.linalg.expm(-1j * h * t)[:, level]
+            np.testing.assert_allclose(kets[:, k], expected, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match="level"):
+        dynamics.fock_kets(p, times, dim, level=dim)
+
+
 def test_vacuum_trajectory_matches_dense_eigh():
     dim = 96
     p = HamiltonianParams(delta=-0.4, epsilon=1.2, kerr=0.6)

@@ -240,11 +240,10 @@ def test_lossy_gaussian_oracle_matches_its_pure_limit():
     [(0.0, 0.5, 0.2, 1.0, 0.0), (0.3, 0.4, 0.5, 0.8, 0.5), (-0.6, 0.35, 0.3, 0.6, 0.0)],
     ids=["delta0", "delta-and-noise", "negative-delta"],
 )
-def test_lossy_point_matches_gaussian_oracle(auto_dim_point, point):
-    # auto dim: (0, 0.5, 0.2, 1.0) climbs 48 -> 64 -> 80 -> 112 -> 144
-    # through rungs whose tails pass TAIL_THRESHOLD, and must not warn
+def test_lossy_point_matches_gaussian_oracle(point):
+    # auto dim: (0, 0.5, 0.2, 1.0) starts at the support, 112, and accepts 144
     delta, epsilon, gamma, t, sigma2 = point
-    row = auto_dim_point(delta, epsilon, 0.0, gamma, t, sigma2)
+    row = evaluate_point(delta, epsilon, 0.0, gamma, t, sigma2, with_k2=True, with_k3=True)
     _assert_matches_oracle(row, lossy_gaussian_figures(delta, epsilon, gamma, t, sigma2))
 
 

@@ -218,17 +218,49 @@ def test_every_auto_dim_result_has_one_policy(monkeypatch, caplog, entry):
     assert len(accepted) == 1
     dim = int(accepted[0].split()[3])
     if entry == "fig1-k0-trace":
-        assert (start, dim) == (144, 960)
+        assert (start, dim) == (768, 960)
     np.testing.assert_allclose(auto, figures(2 * dim), rtol=AUTO_DIM_RTOL)
 
 
-def test_auto_dim_rejected_dims_do_not_warn(auto_dim_point):
-    # each climbs through dims whose tails pass TAIL_THRESHOLD (1.6e-7 at dim
-    # 48 for the first); only the accepted result is checked, so under the
-    # suite's error filter on TruncationWarning these return
-    assert auto_dim_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == 144
+def test_auto_dim_rejected_dims_do_not_warn(monkeypatch):
+    # from a start far below the support each climbs through dims whose tails
+    # pass TAIL_THRESHOLD (1.6e-7 at dim 48 for the first); only the accepted
+    # result is checked, so under the suite's error filter on
+    # TruncationWarning these return
+    monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 48)
+    assert evaluate_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == 144
     assert evaluate_point(0.0, 2.0, 0.0, 0.0, 0.5).dim == 960
     assert mai_sensitivity(HamiltonianParams(0.0, 2.0, 0.0), 0.5).value > 0.0
+
+
+def test_lossless_point_never_propagates_its_state_back(monkeypatch, caplog):
+    # the echo of a lossless row is the perfect-echo overlap <G psi|U_t|1>:
+    # the prepared ket is not propagated back, and every rung solves each
+    # parity sector once (the vacuum's even one, U_t|1>'s odd one)
+    solve = dynamics._eigensystem.__wrapped__
+    solved = []
+
+    def counted(dim, delta, epsilon, kerr, parity):
+        solved.append((dim, parity))
+        return solve(dim, delta, epsilon, kerr, parity)
+
+    monkeypatch.setattr(dynamics, "_eigensystem", functools.lru_cache(maxsize=32)(counted))
+    propagate = dynamics.propagate
+    times = []
+
+    def traced(x, p, t, density=False):
+        times.append(t)
+        return propagate(x, p, t, density)
+
+    monkeypatch.setattr(dynamics, "propagate", traced)
+    with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
+        row = evaluate_point(1.3, 2.1, 1.0, 0.0, 0.5, with_k2=True, with_k3=True)
+    tried = [r.getMessage().split()[3] for r in caplog.records if "tried dim" in r.getMessage()]
+    rungs = [int(d.rstrip(",")) for d in tried]
+    assert len(rungs) == 2 and rungs[-1] == row.dim
+    assert sorted(solved) == [(d, parity) for d in rungs for parity in (0, 1)]
+    assert not [t for t in times if t < 0.0]
+    assert row.chi2inv_1 <= row.chi2inv_mai <= row.f_q
 
 
 def test_auto_dim_is_the_same_with_k3(monkeypatch):
@@ -847,6 +879,16 @@ def test_cli_config_errors_are_exit_2(tmp_path, capsys):
     cfg.write_text("experiment = fig2\ndelta = 0\nepsilon = 0\n")
     assert main(["fig2", "--config", str(cfg), "--threads", "0"]) == 2
     capsys.readouterr()  # drain stderr
+
+
+def test_cli_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def runner(*args, **kwargs):
+        raise AssertionError("the experiment ran before the output was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", runner)
+    out = tmp_path / "absent" / "maps.csv"
+    assert main(["fig2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_cli_rejects_unknown_experiment():

@@ -389,13 +389,45 @@ def test_mai_operator_and_derivative_routes_agree(kt, sigma2):
     # both routes are exact, so at gamma = 0 they agree to rounding
     p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
     (state,) = dynamics.evolve_vacuum(48, p, LossParams(0.0), [kt])
-    op = metrology.readout_optimum(*metrology._mai_operator_route(state.ket, p, kt), sigma2)
+    ((r, cov),) = metrology._mai_operator_route(state.ket[:, None], p, [kt], [kt])
+    op = metrology.readout_optimum(r, cov, sigma2)
     ((r, cov),) = metrology._mai_derivative_route(
         [state.density_matrix()], p, [kt], LossParams(0.0)
     )
     dv = metrology.readout_optimum(r, cov, sigma2)
     assert abs(op.value - dv.value) < 1e-12 * op.value
     assert abs(op.theta_opt - dv.theta_opt) % math.pi < 1e-9
+
+
+@pytest.mark.parametrize("reversal_time", [0.5, 0.35, 0.8])
+def test_lossless_echo_matches_dense_oracle(reversal_time):
+    # the perfect-echo overlaps (reversal_time = t) and the reversed state
+    # U_(t - tau)|0> (tau != t) against dense expm: the response
+    # r[i, j] = i <psi|[G_i, U_tau M_j U_tau^dag]|psi> = d<M_j>/dd to the
+    # kick exp(-i d G_i), and the covariance of U_tau^dag psi
+    dim, t, sigma2 = 24, 0.5, 0.3
+    p = HamiltonianParams(delta=0.4, epsilon=0.3, kerr=0.5)
+    h = dynamics.hamiltonian(dim, p).matrix
+    psi = scipy.linalg.expm(-1j * h * t)[:, 0]
+    u_tau = scipy.linalg.expm(-1j * h * reversal_time)
+    quads = [fock.position(dim).matrix, fock.momentum(dim).matrix]
+    phi = u_tau.conj().T @ psi
+    means = [np.vdot(phi, m @ phi).real for m in quads]
+    cov = np.array(
+        [[np.vdot(phi, (mi @ mj + mj @ mi) @ phi).real / 2.0 - means[i] * means[j]
+          for j, mj in enumerate(quads)] for i, mi in enumerate(quads)]
+    )
+    evolved = [u_tau @ m @ u_tau.conj().T for m in quads]
+    r = np.array([[(1j * np.vdot(psi, (g @ a - a @ g) @ psi)).real for a in evolved] for g in quads])
+    ((got_r, got_cov),) = metrology._mai_operator_route(psi[:, None], p, [t], [reversal_time])
+    np.testing.assert_allclose(got_r, r, rtol=0, atol=1e-12 * np.abs(r).max())
+    np.testing.assert_allclose(got_cov, cov, rtol=0, atol=1e-13)
+    if reversal_time == t:
+        assert np.array_equal(got_cov, np.eye(2) / 2.0)
+    expected = metrology.readout_optimum(r, cov, sigma2)
+    got = mai_sensitivity(p, t, noise=DetectionNoise(sigma2), reversal_time=reversal_time, dim=dim)
+    assert abs(got.value - expected.value) < 1e-12 * expected.value
+    assert abs(got.theta_opt - expected.theta_opt) % math.pi < 1e-9
 
 
 @pytest.mark.parametrize("reversal_time", [0.5, 0.35])
