@@ -44,7 +44,6 @@ from .fock import (
     check_dim,
     check_tail,
     covariance_from_moments,
-    eigh_2x2,
     ket_ladder_moments,
     ladder_dim,
     normalized_kets,
@@ -400,7 +399,7 @@ def evolve_vacuum(
 
 def quadrature_extremes(cov: np.ndarray):
     """(V_min, theta_opt, V_max) of one 2x2 (X, P) covariance or a stack of them."""
-    evals, evecs = eigh_2x2(cov)
+    evals, evecs = np.linalg.eigh(cov)
     theta = np.arctan2(evecs[..., 1, 0], evecs[..., 0, 0]) % math.pi
     return np.maximum(evals[..., 0], 0.0), theta, evals[..., 1]
 

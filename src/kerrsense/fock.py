@@ -466,68 +466,6 @@ def quadrature_covariance(state: QuantumState) -> np.ndarray:
     return covariance_from_moments(*ladder_moments(state))
 
 
-_HALF_ULP = 2.0**-53  # LAPACK's dlamch('E')
-
-
-def _pick(cond, x, y):
-    """np.where(cond, x, y) for finite x and y, by arithmetic, so that it
-    takes Python floats and bools as well as arrays."""
-    return x * cond + y * (1 - cond)
-
-
-def eigh_2x2(m) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a real symmetric 2x2 matrix, or of a stack of them,
-    in closed form: ascending eigenvalues (..., 2) and eigenvectors as columns
-    (..., 2, 2), read from the lower triangle.
-
-    It takes LAPACK's path for n = 2 (dsyevd -> dsteqr -> dlaev2), so the
-    eigenvectors carry eigh's signs as well as its angles: an off-diagonal
-    entry at or below 2^-53 sqrt(|a| |c|) is taken as zero, which leaves the
-    identity as the eigenvectors of a (nearly) isotropic matrix, and the
-    columns are swapped only when the second eigenvalue is strictly smaller.
-    Every branch is evaluated and picked (_pick) with finite divisions, so
-    one matrix (alone or as a stack of one) runs as a few microseconds of
-    float arithmetic and a stack as array arithmetic, through the same lines.
-    """
-    m = np.asarray(m, dtype=float)
-    one = m.size == 4
-    if one:
-        (a, _), (b, c) = m.reshape(2, 2).tolist()
-    else:
-        a, b, c = m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
-    # dlaev2: rt1 is the eigenvalue of larger modulus, (cs1, sn1) its vector;
-    # rt2 = det / rt1 keeps the smaller one accurate
-    sm, df, tb = a + c, a - c, 2.0 * b
-    adf, ab = abs(df), abs(tb)
-    big, small = _pick(adf > ab, adf, ab), _pick(adf > ab, ab, adf)
-    rt = big * (1.0 + (small / (big + (big == 0.0))) ** 2) ** 0.5
-    rt1 = 0.5 * (sm + _pick(sm < 0.0, -rt, rt))
-    a_big = abs(a) > abs(c)
-    acmx, acmn = _pick(a_big, a, c), _pick(a_big, c, a)
-    nonzero = rt1 + (rt1 == 0.0)  # rt1 = 0 only for the zero matrix, which splits
-    rt2 = _pick(sm == 0.0, -0.5 * rt, (acmx / nonzero) * acmn - (b / nonzero) * b)
-    cs = df + _pick(df < 0.0, -rt, rt)
-    wide = abs(cs) > ab
-    ratio = _pick(wide, -tb / (cs + (1 - wide)), -cs / (tb + (tb == 0.0)))
-    norm = 1.0 / (1.0 + ratio * ratio) ** 0.5
-    cs1, sn1 = _pick(wide, ratio * norm, norm), _pick(wide, norm, ratio * norm)
-    # the vector of rt1 is the other rotation column when sign(sm) == sign(df)
-    turn = (sm < 0.0) == (df < 0.0)
-    cs1, sn1 = _pick(turn, -sn1, cs1), _pick(turn, cs1, sn1)
-    # dsteqr drops a negligible off-diagonal entry: the identity diagonalises
-    split = abs(b) <= _HALF_ULP * abs(a) ** 0.5 * abs(c) ** 0.5
-    d1, d2 = _pick(split, a, rt1), _pick(split, c, rt2)
-    cs1, sn1 = _pick(split, 1.0, cs1), _pick(split, 0.0, sn1)
-    # columns (cs1, sn1) for d1 and (-sn1, cs1) for d2, swapped if d2 < d1
-    swap = d2 < d1
-    x, y, sign = _pick(swap, -sn1, cs1), _pick(swap, cs1, sn1), 1 - 2 * swap
-    evals = np.array([_pick(swap, d2, d1), _pick(swap, d1, d2)])
-    evecs = np.array([[x, -sign * y], [y, sign * x]])
-    if one:
-        return evals.reshape(m.shape[:-1]), evecs.reshape(m.shape)
-    return np.moveaxis(evals, 0, -1), np.moveaxis(evecs, (0, 1), (-2, -1))
-
-
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:
     """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
     _require_same_dim(a, b)
@@ -550,15 +488,17 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 
 
 def apply_annihilation(psi: np.ndarray) -> np.ndarray:
+    """a psi for a ket, or for each column of a block of kets."""
     out = np.zeros_like(psi)
-    n = np.arange(1, psi.shape[0], dtype=float)
+    n = np.arange(1, psi.shape[0], dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
     out[:-1] = np.sqrt(n) * psi[1:]
     return out
 
 
 def apply_creation(psi: np.ndarray) -> np.ndarray:
+    """a^dag psi for a ket, or for each column of a block of kets."""
     out = np.zeros_like(psi)
-    n = np.arange(1, psi.shape[0], dtype=float)
+    n = np.arange(1, psi.shape[0], dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
     out[1:] = np.sqrt(n) * psi[:-1]
     return out
 

@@ -15,7 +15,7 @@ a Rayleigh quotient |c m|^2 / (m^T Gamma m) with response c and covariance
 Gamma. The method of moments (observables of polynomial order k) and the
 echo (quadratures after the reversal) are both this quotient, and both are
 solved by best_readout as the top eigenpair of the pencil (c^T c, Gamma) on
-the range of Gamma; its 2x2 eigenproblems are closed forms (fock.eigh_2x2).
+the range of Gamma; every such eigenproblem is one np.linalg.eigh call.
 
 Without loss the echo is perfect: the state psi = U_t|0> prepared for time t
 and reversed for the same time returns to |0> exactly, so the readout
@@ -53,7 +53,6 @@ from .fock import (
     at_dim,
     check_dim,
     covariance_from_moments,
-    eigh_2x2,
     ket_ladder_moments,
     quadrature_covariance,
     sparse_annihilation,
@@ -168,41 +167,39 @@ def qfi_pure(state: QuantumState, generator: Operator) -> float:
     return 4.0 * variance(state, generator)
 
 
-def _qfi_spectral_parts(state: QuantumState, eig_cutoff: float):
+def _qfi_spectral_parts(state: QuantumState):
     lam, vecs = np.linalg.eigh(state.density_matrix())
     lam = np.clip(lam, 0.0, None)
     s = lam[:, None] + lam[None, :]
     d = lam[:, None] - lam[None, :]
     w = np.zeros_like(s)
-    mask = s > eig_cutoff
+    mask = s > QFI_EIG_CUTOFF
     w[mask] = 2.0 * d[mask] ** 2 / s[mask]
     return w, vecs
 
 
-def qfi_generator(
-    state: QuantumState, generator: Operator, eig_cutoff: float = QFI_EIG_CUTOFF
-) -> float:
+def qfi_generator(state: QuantumState, generator: Operator) -> float:
     """Spectral-decomposition QFI for a fixed generator (pure or mixed)."""
     if not generator.is_hermitian:
         raise ValueError("qfi requires a Hermitian generator")
-    w, vecs = _qfi_spectral_parts(state, eig_cutoff)
+    w, vecs = _qfi_spectral_parts(state)
     g = vecs.conj().T @ generator.matrix @ vecs
     return float(np.sum(w * np.abs(g) ** 2))
 
 
-def qfi_mixed(state: QuantumState, eig_cutoff: float = QFI_EIG_CUTOFF) -> SensitivityReport:
+def qfi_mixed(state: QuantumState) -> SensitivityReport:
     """Displacement QFI maximised over the generator direction.
 
     Diagonalises the 2x2 matrix F_ij built from G_i in {X, P}; reduces to
     4 * max quadrature variance for pure states.
     """
-    w, vecs = _qfi_spectral_parts(state, eig_cutoff)
+    w, vecs = _qfi_spectral_parts(state)
     x_t, p_t = vecs.conj().T @ _basis_products(vecs, 2)  # X and P in the eigenbasis
     f = np.empty((2, 2))
     f[0, 0] = float(np.sum(w * np.abs(x_t) ** 2))
     f[1, 1] = float(np.sum(w * np.abs(p_t) ** 2))
     f[0, 1] = f[1, 0] = float(np.sum(w * (x_t * p_t.conj()).real))
-    evals, evecs = eigh_2x2(f)
+    evals, evecs = np.linalg.eigh(f)
     n_opt = evecs[:, 1]
     return SensitivityReport(
         value=float(evals[1]), phi_opt=_angle_of(n_opt), n_opt=n_opt
@@ -212,7 +209,7 @@ def qfi_mixed(state: QuantumState, eig_cutoff: float = QFI_EIG_CUTOFF) -> Sensit
 def qfi_max(state: QuantumState) -> SensitivityReport:
     """Direction-optimised displacement QFI; fast 4*V_max path for pure states."""
     if state.is_pure:
-        evals, evecs = eigh_2x2(quadrature_covariance(state))
+        evals, evecs = np.linalg.eigh(quadrature_covariance(state))
         n_opt = evecs[:, 1]
         return SensitivityReport(
             value=4.0 * float(evals[1]), phi_opt=_angle_of(n_opt), n_opt=n_opt
@@ -341,18 +338,17 @@ def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
     equilibrated to unit variance, and directions whose equilibrated
     variance is below GAMMA_RANGE_RTOL of the largest are left out. n_opt is
     the top eigenvector of c gamma^+ c^T and m_opt is proportional to
-    gamma^+ c^T n_opt.  The 2x2 eigenproblems (the final pencil, and gamma
-    itself when it is 2x2, as in the echo) are solved in closed form.
+    gamma^+ c^T n_opt.
     """
     var = gamma.diagonal()
     keep = var > DEGENERATE_VARIANCE
     s = 1.0 / np.sqrt(var[keep])
     scaled = gamma[keep][:, keep] * (s[:, None] * s)
-    lam, u = eigh_2x2(scaled) if len(s) == 2 else np.linalg.eigh(scaled)
+    lam, u = np.linalg.eigh(scaled)
     in_range = lam > GAMMA_RANGE_RTOL * lam.max(initial=0.0)
     whiten = s[:, None] * (u[:, in_range] / np.sqrt(lam[in_range]))
     b = c[:, keep] @ whiten
-    evals, evecs = eigh_2x2(b @ b.T)
+    evals, evecs = np.linalg.eigh(b @ b.T)
     n_opt = evecs[:, 1]
     m_opt = np.zeros(len(var))
     m_opt[keep] = whiten @ (b.T @ n_opt)

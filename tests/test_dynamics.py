@@ -25,6 +25,7 @@ from kerrsense.dynamics import (
     optimal_squeezing,
     propagate,
     propagator,
+    quadrature_extremes,
     squeezing_trace,
     vacuum_trajectory,
 )
@@ -487,9 +488,13 @@ def test_min_variance_angle_range():
 
 
 def test_min_variance_vacuum_degenerate():
-    v_min, theta = min_variance(QuantumState.vacuum(20))
-    assert abs(v_min - 0.5) < 1e-12
-    assert 0.0 <= theta < math.pi
+    # an isotropic covariance keeps the identity as its eigenvectors, so the
+    # angle is pinned at 0, for one matrix and for a stack alike
+    assert min_variance(QuantumState.vacuum(20)) == (0.5, 0.0)
+    assert quadrature_extremes(np.eye(2) / 2.0) == (0.5, 0.0, 0.5)
+    v_min, theta, v_max = quadrature_extremes(np.eye(2)[None] / 2.0)
+    assert v_min.shape == theta.shape == v_max.shape == (1,)
+    assert (v_min[0], theta[0], v_max[0]) == (0.5, 0.0, 0.5)
 
 
 def test_squeezing_trace_matches_pointwise_evolution():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kerrsense import dynamics, fock
+from kerrsense import fock
 from kerrsense.fock import (
     DimensionMismatchError,
     Operator,
@@ -323,60 +323,6 @@ def test_ket_block_moments_match_per_ket():
         np.testing.assert_allclose(cov[j], quadrature_covariance(state), atol=1e-14)
 
 
-def _eigvec_angles(vecs):
-    return np.arctan2(vecs[..., 1, :], vecs[..., 0, :]) % math.pi
-
-
-def _angle_gap(a, b):
-    gap = np.abs(a - b) % math.pi
-    return np.minimum(gap, math.pi - gap)
-
-
-def test_eigh_2x2_matches_numpy_eigh():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(400, 2, 2)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(400, 1, 1))
-    # and quadrature covariances of squeezed states, V_max / V_min up to 1e8
-    theta = rng.uniform(0.0, math.pi, 200)
-    rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
-                    np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
-    v_min = rng.uniform(1e-3, 0.5, 200)
-    principal = np.stack([v_min, v_min * 10.0 ** rng.uniform(0.0, 8.0, 200)], -1)
-    covs = rot @ (principal[:, :, None] * np.swapaxes(rot, -1, -2))
-    mats = np.concatenate([x + np.swapaxes(x, -1, -2), (covs + np.swapaxes(covs, -1, -2)) / 2.0])
-    evals, evecs = fock.eigh_2x2(mats)
-    ref_vals, ref_vecs = np.linalg.eigh(mats)
-    scale = np.abs(ref_vals).max(axis=-1, keepdims=True)
-    assert np.all(np.abs(evals - ref_vals) <= 1e-15 * scale)
-    assert _angle_gap(_eigvec_angles(evecs), _eigvec_angles(ref_vecs)).max() < 1e-12
-    one_vals, one_vecs = fock.eigh_2x2(mats[7])  # one matrix takes the same lines
-    assert np.array_equal(one_vals, evals[7]) and np.array_equal(one_vecs, evecs[7])
-
-
-def test_eigh_2x2_keeps_the_angle_at_degeneracy():
-    # isotropic and nearly isotropic matrices: like eigh, the eigenvectors
-    # stay the identity, so the smaller eigenvalue's angle is pinned at 0,
-    # and a strictly smaller second diagonal entry swaps them
-    mats = np.array([
-        np.eye(2) / 2.0,
-        3.0 * np.eye(2),
-        -np.eye(2),
-        np.zeros((2, 2)),
-        [[0.5, 1e-18], [1e-18, 0.5]],
-        [[0.5, 0.0], [0.0, 0.5 + 1e-16]],
-        [[0.5 + 1e-16, 0.0], [0.0, 0.5]],
-        [[1.0, 0.5], [0.5, 1.0]],
-        [[-1.0, 0.25], [0.25, -1.0]],
-    ])
-    evals, evecs = fock.eigh_2x2(mats)
-    ref_vals, ref_vecs = np.linalg.eigh(mats)
-    np.testing.assert_allclose(evals, ref_vals, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(evecs, ref_vecs, rtol=0.0, atol=1e-16)
-    np.testing.assert_array_equal(_eigvec_angles(evecs[:6])[:, 0], 0.0)
-    assert _eigvec_angles(evecs[6])[0] == math.pi / 2.0
-    v_min, theta, v_max = dynamics.quadrature_extremes(np.eye(2) / 2.0)
-    assert (v_min, theta, v_max) == (0.5, 0.0, 0.5)
-
-
 def test_normalized_kets_checks_every_column():
     block = np.stack([random_ket(20, 4).ket, random_ket(20, 5).ket], axis=1)
     np.testing.assert_allclose(normalized_kets(block * (1.0 + 1e-12)), block, atol=1e-15)
@@ -440,19 +386,24 @@ def test_state_fidelity_dim_mismatch():
 
 
 def test_apply_helpers_match_matrix_products():
-    s = random_ket(22, seed=9)
-    np.testing.assert_allclose(
-        fock.apply_annihilation(s.data), annihilation(22).matrix @ s.data, atol=1e-14
-    )
-    np.testing.assert_allclose(
-        fock.apply_creation(s.data), creation(22).matrix @ s.data, atol=1e-14
-    )
-    for theta in (0.0, 1.1):
+    # a ket, and blocks of kets as columns: at 21 = dim - 1 columns, level
+    # factors broadcast along the wrong axis would go through without an error
+    ket = random_ket(22, seed=9).data
+    blocks = [np.stack([random_ket(22, seed=10 + j).data for j in range(k)], axis=1)
+              for k in (3, 21)]
+    for psi in [ket] + blocks:
         np.testing.assert_allclose(
-            fock.apply_quadrature(s.data, theta),
-            quadrature(22, theta).matrix @ s.data,
-            atol=1e-14,
+            fock.apply_annihilation(psi), annihilation(22).matrix @ psi, atol=1e-14
         )
+        np.testing.assert_allclose(
+            fock.apply_creation(psi), creation(22).matrix @ psi, atol=1e-14
+        )
+        for theta in (0.0, 1.1):
+            np.testing.assert_allclose(
+                fock.apply_quadrature(psi, theta),
+                quadrature(22, theta).matrix @ psi,
+                atol=1e-14,
+            )
 
 
 # ---------------------------------------------------------------------------
