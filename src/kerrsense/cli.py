@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Each subcommand names an experiment; flags control input config, output
-location/format, Fock dimension policy, and parallelism.  Exit codes:
-0 success, 1 computation error, 2 configuration error.
+location/format, and Fock dimension policy; --threads is accepted (>= 1) but
+has no effect.  Exit codes: 0 success, 1 computation error, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads for the fig1 optima, the fig2 points and the scaling epsilons",
+            help="accepted for compatibility (must be >= 1); has no effect",
         )
         sp.add_argument(
             "--with-k3",
@@ -100,9 +101,7 @@ def main(argv=None) -> int:
             out = Path(f"{args.experiment}.{args.format}")
         if not out.parent.is_dir():  # before the computation, not after it
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
-        result = harness.run_experiment(
-            cfg, dim=dim, threads=args.threads, with_k3=args.with_k3
-        )
+        result = harness.run_experiment(cfg, dim=dim, with_k3=args.with_k3)
         written = harness.emit(result, out, fmt=args.format)
         for path in written:
             print(path)

@@ -53,7 +53,7 @@ from .fock import (
 )
 
 OPTIMUM_GRID_POINTS = 200  # optimal_squeezing's bracketing scan
-OPTIMUM_REL_TOL = 1e-4  # and its golden-section tolerance
+OPTIMUM_SPLIT = 64  # and the times inside its bracket at each shrink
 
 
 class NoInteriorMinimumError(RuntimeError):
@@ -516,6 +516,26 @@ def squeezing_trace(
     )
 
 
+def _vmin_slope(p: HamiltonianParams, times, dim: int) -> np.ndarray:
+    """Exact dV_min/dt of the vacuum at each of the times, all of them > 0.
+
+    The vacuum stays in the even sector, so <a> = 0 and V_min = 1/2 + <n> -
+    |<a^2>|.  psi and dpsi/dt = -i H psi come from one real GEMM on the cached
+    eigensystem, and d<O>/dt = <dpsi|O psi> + <psi|O dpsi>.  At t = 0 <a^2> = 0
+    and |<a^2>| has a kink, so that time is left out.
+    """
+    evals, evecs = eigensystem(dim, p)
+    phases = np.exp(-1j * np.outer(evals, times)) * evecs[0][:, None]
+    both = _real_gemm(evecs, np.hstack([phases, -1j * evals[:, None] * phases]))
+    psi, dpsi = np.split(both, 2, axis=1)
+    n = np.arange(0.0, psi.shape[0] * 2.0, 2.0)[:, None]  # row k is level 2k
+    sq2 = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))  # <2k| a^2 |2k + 2>
+    ma2 = np.sum(sq2 * psi[:-1].conj() * psi[1:], axis=0)
+    dma2 = np.sum(sq2 * (dpsi[:-1].conj() * psi[1:] + psi[:-1].conj() * dpsi[1:]), axis=0)
+    dmn = 2.0 * np.sum(n * psi.conj() * dpsi, axis=0).real
+    return dmn - (ma2.conj() * dma2).real / np.abs(ma2)
+
+
 def optimal_squeezing(
     p: HamiltonianParams,
     t_max: float | None = None,
@@ -523,11 +543,13 @@ def optimal_squeezing(
 ) -> tuple[float, float]:
     """Locate the first interior minimum of V_min(t) from the vacuum.
 
-    Returns (chi2inv_opt, t_opt) with chi2inv_opt = 1 / V_min(t_opt); the
-    minimum is bracketed on OPTIMUM_GRID_POINTS times in [0, t_max] and t_opt
-    refined by golden-section search to OPTIMUM_REL_TOL relative. Raises
-    NoInteriorMinimumError when the scanned window has no interior minimum
-    (kerr = 0: V_min decays monotonically).
+    Returns (chi2inv_opt, t_opt) with chi2inv_opt = 1 / V_min(t_opt).  The
+    minimum is bracketed on OPTIMUM_GRID_POINTS times in [0, t_max]; the
+    bracket is then cut at OPTIMUM_SPLIT even inner times and shrinks to the
+    cut where the exact slope (_vmin_slope) first turns >= 0, until it stops
+    shrinking in floating point.  Raises NoInteriorMinimumError when the
+    scanned window has no interior minimum (kerr = 0: V_min decays
+    monotonically).
     """
     if t_max is None:
         if p.kerr <= 0:
@@ -538,34 +560,18 @@ def optimal_squeezing(
     t_grid = np.linspace(0.0, t_max, OPTIMUM_GRID_POINTS)
     trace = squeezing_trace(p, t_grid, dim=dim)
     v = trace.v_min
-    idx = None
-    for i in range(1, v.shape[0] - 1):
-        if v[i] < v[i - 1] and v[i] <= v[i + 1]:
-            idx = i
-            break
-    if idx is None:
+    minima = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))
+    if minima.size == 0:
         raise NoInteriorMinimumError(
             f"V_min has no interior minimum on (0, {t_max}); kerr = {p.kerr}"
         )
-
-    def vmin_at(t: float) -> float:
-        return float(vacuum_trajectory(p, [t], trace.dim).v_min[0])
-
-    # golden-section on the bracketing interval
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = t_grid[idx - 1], t_grid[idx + 1]
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = vmin_at(c), vmin_at(d)
-    while (hi - lo) > OPTIMUM_REL_TOL * max(abs(hi + lo) / 2.0, 1e-12):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = vmin_at(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = vmin_at(d)
+    lo, hi = t_grid[minima[0]], t_grid[minima[0] + 2]
+    while True:
+        ts = np.linspace(lo, hi, OPTIMUM_SPLIT + 2)
+        rising = _vmin_slope(p, ts[1:-1], trace.dim) >= 0.0
+        k = int(np.argmax(rising)) if rising.any() else ts.size - 2
+        if ts[k + 1] - ts[k] >= hi - lo:
+            break
+        lo, hi = ts[k], ts[k + 1]
     t_opt = (lo + hi) / 2.0
-    v_opt = vmin_at(t_opt)
-    return 1.0 / v_opt, float(t_opt)
+    return 1.0 / float(vacuum_trajectory(p, [t_opt], trace.dim).v_min[0]), float(t_opt)

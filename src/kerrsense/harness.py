@@ -34,7 +34,6 @@ import cmath
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -361,21 +360,16 @@ def _group_rows(
     return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
 
 
-def _map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _map(fn, items) -> list:
+    """[fn(item) for item in items], as a function that a tracer can wrap."""
+    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 
 
-def run_fig1(
-    cfg: ExperimentConfig, dim: int | None = None, threads: int = 1, **_ignored
-) -> SweepResult:
+def run_fig1(cfg: ExperimentConfig, dim: int | None = None, **_ignored) -> SweepResult:
     """V_min(t) traces over the kerr axis plus an optimal-squeezing table.
 
     Traces fix (delta, epsilon) = (delta[0], 2) and sweep kerr x kt; the
@@ -424,14 +418,13 @@ def run_fig1(
         return row
 
     points = [(d, eps) for d in cfg.delta for eps in cfg.epsilon]
-    optima = [row for row in _map(optimum, points, threads) if row is not None]
+    optima = [row for row in _map(optimum, points) if row is not None]
     return SweepResult(experiment="fig1", rows=rows, optima=optima)
 
 
 def run_fig2(
     cfg: ExperimentConfig,
     dim: int | None = None,
-    threads: int = 1,
     with_k3: bool = False,
 ) -> SweepResult:
     """Sensitivity maps over (delta, epsilon) at fixed Kt."""
@@ -448,7 +441,7 @@ def run_fig2(
         return row
 
     points = [(d, eps) for d in cfg.delta for eps in cfg.epsilon]
-    rows = _map(job, points, threads)
+    rows = _map(job, points)
     return SweepResult(experiment="fig2", rows=rows)
 
 
@@ -564,9 +557,7 @@ def _fit_slope(n_mean: np.ndarray, f_q: np.ndarray, window: float) -> float:
     return float(np.sum(n_w * (f_w - 4.0)) / np.sum(n_w * n_w))
 
 
-def run_scaling(
-    cfg: ExperimentConfig, dim: int | None = None, threads: int = 1, **_ignored
-) -> SweepResult:
+def run_scaling(cfg: ExperimentConfig, dim: int | None = None, **_ignored) -> SweepResult:
     """F_Q(N) series per epsilon with the slope of F_Q = a N + 4.
 
     The series is truncated at the first F_Q maximum; the slope is fitted on
@@ -621,7 +612,7 @@ def run_scaling(
         ]
         return eps_rows, fit
 
-    for eps_rows, fit in _map(run_one, cfg.epsilon, threads):
+    for eps_rows, fit in _map(run_one, cfg.epsilon):
         rows.extend(eps_rows)
         fits.append(fit)
     return SweepResult(experiment="scaling", rows=rows, fits=fits)
@@ -741,11 +732,10 @@ _RUNNERS = {
 def run_experiment(
     cfg: ExperimentConfig,
     dim: int | None = None,
-    threads: int = 1,
     with_k3: bool = False,
 ) -> SweepResult:
     runner = _RUNNERS[cfg.experiment]
-    return runner(cfg, dim=dim, threads=threads, with_k3=with_k3)
+    return runner(cfg, dim=dim, with_k3=with_k3)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,13 @@ from kerrsense.dynamics import (
     squeezing_trace,
     vacuum_trajectory,
 )
-from kerrsense.fock import QuantumState, TruncationError, TruncationWarning, ladder_moments
+from kerrsense.fock import (
+    QuantumState,
+    TruncationError,
+    TruncationWarning,
+    ladder_moments,
+    next_dim,
+)
 
 
 def test_params_validation():
@@ -580,3 +586,19 @@ def test_optimal_squeezing_requires_kerr():
         optimal_squeezing(
             HamiltonianParams(epsilon=2.0, kerr=1.0), t_max=0.01, dim=60
         )
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.5])
+def test_optimal_squeezing_is_the_root_of_the_exact_slope(delta):
+    p = HamiltonianParams(delta=delta, epsilon=2.0, kerr=1.0)
+    # dV_min/dt against a central difference of the V_min trace
+    times, h = np.array([0.05, 0.13, 0.31, 0.6]), 1e-6
+    v_up = vacuum_trajectory(p, times + h, 64).v_min
+    v_down = vacuum_trajectory(p, times - h, 64).v_min
+    slope = dynamics._vmin_slope(p, times, 64)
+    np.testing.assert_allclose(slope, (v_up - v_down) / (2.0 * h), rtol=1e-8, atol=0.0)
+    # the root is found to machine precision: the next rung moves it by < 1e-12
+    for dim in (48, 64):
+        _, t_opt = optimal_squeezing(p, dim=dim)
+        _, t_next = optimal_squeezing(p, dim=next_dim(dim))
+        assert t_next == pytest.approx(t_opt, rel=1e-12, abs=0.0)

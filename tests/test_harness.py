@@ -650,7 +650,7 @@ def test_loss_robustness_is_a_grid_pass_and_a_vertex_pass(monkeypatch):
 
 
 def test_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # byte-identical CSV for any --threads, lossless points and lossy groups alike
+    # byte-identical CSV for any --threads: lossless points, lossy groups, fig2 points
     no_snapshots = lambda cfg, **kwargs: run_fig3(cfg, snapshots=False, **kwargs)  # noqa: E731
     monkeypatch.setitem(harness._RUNNERS, "fig3", no_snapshots)
     custom = tmp_path / "custom.cfg"
@@ -660,7 +660,9 @@ def test_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     )
     fig3 = tmp_path / "fig3.cfg"
     fig3.write_text("experiment = fig3\ngamma = 0, 0.1\nkt = 0, 0.2, 0.4\n")
-    for name, cfg in (("custom", custom), ("fig3", fig3)):
+    fig2 = tmp_path / "fig2.cfg"
+    fig2.write_text("experiment = fig2\ndelta = -1, 0, 1\nepsilon = 0.5, 1\n")
+    for name, cfg in (("custom", custom), ("fig3", fig3), ("fig2", fig2)):
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"{name}-{threads}.csv"
