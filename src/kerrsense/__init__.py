@@ -75,7 +75,6 @@ from .harness import (
 )
 from .metrology import (
     DetectionNoise,
-    MomentBasis,
     SensitivityReport,
     linear_sensitivity,
     mai_sensitivity,

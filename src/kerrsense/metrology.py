@@ -32,8 +32,9 @@ factor W with rho = W W^dag (a ket is one column; a density matrix gives
 V sqrt(lambda) from its eigendecomposition), so every <M_i M_j> table is
 one sparse product of the stack with W followed by a small Gram matrix, for
 pure and mixed states alike. The mixed-state QFI and the echo's kicks
--i[G, rho] take X and P from the same stack. moment_basis densifies the
-blocks for callers that want Operators; no figure uses it.
+-i[G, rho] take X and P from the same stack. A basis is selected by its
+order alone; moment_basis densifies the leading blocks, uncached, for
+callers that want Operators, and no figure calls it.
 """
 from __future__ import annotations
 
@@ -221,23 +222,8 @@ def qfi_max(state: QuantumState) -> SensitivityReport:
 # method of moments with nonlinear measured observables
 
 
-@dataclass(frozen=True)
-class MomentBasis:
-    """Measured-observable basis of a given polynomial order (1, 2, or 3)."""
-
-    order: int
-    operators: tuple[Operator, ...]
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
 # basis length per order: the order-k basis is the first entries of order 3
 _BASIS_LENGTH = {1: 2, 2: 5, 3: 9}
-
-
-def _order(basis: MomentBasis | int) -> int:
-    return basis if isinstance(basis, int) else basis.order
 
 
 def _basis_length(order: int) -> int:
@@ -279,18 +265,12 @@ def _basis_products(w: np.ndarray, count: int) -> np.ndarray:
     return (_moment_matrices(dim) @ w)[: count * dim].reshape(count, dim, -1)
 
 
-@lru_cache(maxsize=8)
-def _moment_operators(dim: int) -> tuple[Operator, ...]:
-    """Dense Operator views of the blocks of _moment_matrices(dim)."""
-    blocks = _moment_matrices(dim).toarray().reshape(-1, dim, dim)
-    return tuple(Operator(block, hermitian=True) for block in blocks)
-
-
-def moment_basis(dim: int, order: int) -> MomentBasis:
+def moment_basis(dim: int, order: int) -> tuple[Operator, ...]:
     """Basis (X, P | X^2, P^2, sym XP | X^3, P^3, sym XPP, sym PXX) of length
     2/5/9, as dense Operators; the figures use the sparse stack instead."""
     count = _basis_length(order)
-    return MomentBasis(order=order, operators=_moment_operators(check_dim(dim))[:count])
+    blocks = _moment_matrices(check_dim(dim))[: count * dim].toarray()
+    return tuple(Operator(b, hermitian=True) for b in blocks.reshape(count, dim, dim))
 
 
 def _square_root_factor(state: QuantumState) -> np.ndarray:
@@ -302,11 +282,9 @@ def _square_root_factor(state: QuantumState) -> np.ndarray:
     return vecs * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def moment_matrices(
-    state: QuantumState, basis: MomentBasis | int
-) -> tuple[np.ndarray, np.ndarray]:
+def moment_matrices(state: QuantumState, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Commutator matrix C and covariance matrix Gamma of the measured basis
-    (a MomentBasis, of which only the order is read, or the order itself).
+    of this order (1, 2 or 3; anything else raises ValueError).
 
     Both come from one table <M_i M_j> = Tr[(M_i W)^dag (M_j W)] for the
     square-root factor W of the state, whose products M_k W are one sparse
@@ -314,11 +292,7 @@ def moment_matrices(
     <M_i><M_j>, and since the generators X, P are the first two basis
     entries, C_ij = -i <[G_i, M_j]> = 2 Im <G_i M_j> is its first two rows.
     """
-    if isinstance(basis, MomentBasis) and basis.operators[0].dim != state.dim:
-        raise DimensionMismatchError(
-            f"basis dim {basis.operators[0].dim} vs state dim {state.dim}"
-        )
-    count = _basis_length(_order(basis))
+    count = _basis_length(order)
     w = _square_root_factor(state)
     mw = _basis_products(w, count).reshape(count, -1)
     means = (mw @ w.conj().reshape(-1)).real
@@ -366,21 +340,25 @@ def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
 
 def moment_sensitivity(
     state: QuantumState,
-    basis: MomentBasis | int,
+    order: int,
     moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SensitivityReport:
     """Method-of-moments chi^-2 optimised over generator direction and
-    measurement combination: best_readout of the basis's moment_matrices.
-    theta_opt is the measured quadrature's angle, so only order 1 has one.
+    measurement combination: best_readout of the moment_matrices of this
+    order (1, 2 or 3). theta_opt is the measured quadrature's angle, so only
+    order 1 has one.
 
     moments, the state's moment_matrices of this order or a higher one, saves
     building them: a lower-order basis is the leading entries of a higher
-    one, so its C and Gamma are their leading blocks.
+    one, so its C and Gamma are their leading blocks. A table of a lower
+    order raises ValueError.
     """
-    n = _basis_length(_order(basis))
-    c, gamma = moments if moments is not None else moment_matrices(state, basis)
+    n = _basis_length(order)
+    c, gamma = moments if moments is not None else moment_matrices(state, order)
+    if c.shape[1] < n:
+        raise ValueError(f"order {order} needs {n} moment columns, got {c.shape[1]}")
     report = best_readout(c[:, :n], gamma[:n, :n])
-    if _order(basis) != 1:
+    if order != 1:
         report.theta_opt = None
     return report
 
@@ -500,9 +478,15 @@ def echo_responses(
     measured. Both routes are exact: pure states without loss take the
     perfect-echo overlaps (_mai_operator_route), everything else the
     Heisenberg-picture readouts, evolved once for all states
-    (_mai_derivative_route).
+    (_mai_derivative_route). times and reversal_times need one entry per
+    state, else ValueError.
     """
     reversal_times = times if reversal_times is None else reversal_times
+    if not len(states) == len(times) == len(reversal_times):
+        raise ValueError(
+            f"{len(states)} states, {len(times)} times and {len(reversal_times)} "
+            "reversal times do not match"
+        )
     if loss.gamma == 0.0 and all(s.is_pure for s in states):
         kets = np.stack([s.ket for s in states], axis=1)
         return _mai_operator_route(kets, p, times, reversal_times)

@@ -28,7 +28,6 @@ from kerrsense.metrology import (
     DetectionNoise,
     linear_sensitivity,
     mai_sensitivity,
-    moment_basis,
     moment_matrices,
     moment_sensitivity,
     noisy_linear_sensitivity,
@@ -126,7 +125,6 @@ def test_criterion_04_second_order_no_advantage():
     # 50 random vacuum-evolved states: chi^-2_(2) = chi^-2_(1) and the
     # generator commutes in expectation with every second-order observable
     failures, worst_gap, worst_block = [], 0.0, 0.0
-    basis2 = moment_basis(ENSEMBLE_DIM, 2)
     for i, (_, _, state) in enumerate(_ensemble()):
         chi1 = moment_sensitivity(state, 1).value
         chi2 = moment_sensitivity(state, 2).value
@@ -134,7 +132,7 @@ def test_criterion_04_second_order_no_advantage():
         worst_gap = max(worst_gap, gap)
         if gap > 1e-8:
             failures.append(f"state {i}: |chi2 - chi1| = {gap:.3e} > 1e-8")
-        block = float(np.abs(moment_matrices(state, basis2)[0][:, 2:]).max())
+        block = float(np.abs(moment_matrices(state, 2)[0][:, 2:]).max())
         worst_block = max(worst_block, block)
         if block > 1e-10:
             failures.append(f"state {i}: second-order commutator block {block:.3e} > 1e-10")

@@ -182,7 +182,7 @@ def test_moment_basis_shapes():
     assert len(moment_basis(16, 2)) == 5
     assert len(moment_basis(16, 3)) == 9
     for order in (1, 2, 3):
-        for op in moment_basis(16, order).operators:
+        for op in moment_basis(16, order):
             assert op.is_hermitian
     with pytest.raises(ValueError):
         moment_basis(16, 4)
@@ -190,18 +190,17 @@ def test_moment_basis_shapes():
         moment_basis(16, 0)
 
 
-def test_moment_basis_orders_share_cached_operators():
+def test_moment_basis_orders_are_prefixes_of_order_3():
     b1, b2, b3 = (moment_basis(20, order) for order in (1, 2, 3))
-    # lower orders are prefixes of order 3; a cache hit copies nothing
-    assert all(a is b for a, b in zip(b2.operators, b3.operators[:5]))
-    assert all(a is b for a, b in zip(b1.operators, b3.operators[:2]))
-    assert all(a is b for a, b in zip(moment_basis(20, 3).operators, b3.operators))
-    assert not any(op.matrix.flags.writeable for op in b3.operators)
+    for lower in (b1, b2):
+        for a, b in zip(lower, b3):
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+    assert not any(op.matrix.flags.writeable for op in b3)
     x = fock.position(20).matrix
     p = fock.momentum(20).matrix
-    np.testing.assert_array_equal(b1.operators[0].matrix, x)
-    np.testing.assert_allclose(b2.operators[4].matrix, (x @ p + p @ x) / 2.0, atol=1e-14)
-    np.testing.assert_allclose(b3.operators[5].matrix, x @ x @ x, atol=1e-12)
+    np.testing.assert_array_equal(b1[0].matrix, x)
+    np.testing.assert_allclose(b2[4].matrix, (x @ p + p @ x) / 2.0, atol=1e-14)
+    np.testing.assert_allclose(b3[5].matrix, x @ x @ x, atol=1e-12)
 
 
 def test_moment_first_order_equals_linear_readout():
@@ -228,7 +227,7 @@ def test_second_order_buys_nothing_for_vacuum_evolved_states():
 
 def test_commutator_block_vanishes_for_definite_parity():
     state = kerr_state(96, delta=1.5, eps=2.5, kt=0.35)
-    c = moment_matrices(state, moment_basis(96, 2))[0]
+    c = moment_matrices(state, 2)[0]
     # columns of the quadratic observables: <[linear, quadratic]> has odd
     # parity, so a definite-parity state gives zero
     assert np.max(np.abs(c[:, 2:])) < 1e-10
@@ -298,13 +297,6 @@ def test_moment_sensitivity_of_a_position_eigenstate():
         assert all(math.isfinite(v) and 0.0 <= v <= 1e-12 for v in values)
 
 
-def test_moment_sensitivity_accepts_basis_or_order():
-    state = kerr_state(60, delta=0.0, eps=2.0, kt=0.3)
-    via_order = moment_sensitivity(state, 2).value
-    via_basis = moment_sensitivity(state, moment_basis(60, 2)).value
-    assert via_order == via_basis
-
-
 def test_moment_sensitivity_reads_the_leading_block_of_a_higher_order_table():
     # the order-2 basis is the leading entries of the order-3 one, so one
     # order-3 table serves both orders, for pure and mixed states
@@ -318,9 +310,23 @@ def test_moment_sensitivity_reads_the_leading_block_of_a_higher_order_table():
             assert shared == pytest.approx(own, rel=1e-12)
 
 
+def test_moment_sensitivity_rejects_a_lower_order_table():
+    # an order-2 table has 5 columns; order 3 needs 9 and must not answer
+    # with the order-2 value
+    state = kerr_state(48, delta=0.0, eps=2.0, kt=0.4)
+    table = moment_matrices(state, 2)
+    assert moment_sensitivity(state, 3).value > moment_sensitivity(state, 2).value + 1.0
+    for order in (1, 2):
+        moment_sensitivity(state, order, table)
+    with pytest.raises(ValueError):
+        moment_sensitivity(state, 3, table)
+    with pytest.raises(ValueError):
+        moment_sensitivity(state, 2, moment_matrices(state, 1))
+
+
 def test_covariance_matrix_is_symmetric_psd():
     state = random_ket(24, seed=9)
-    gamma = moment_matrices(state, moment_basis(24, 2))[1]
+    gamma = moment_matrices(state, 2)[1]
     np.testing.assert_allclose(gamma, gamma.T, atol=1e-12)
     assert np.linalg.eigvalsh(gamma)[0] > -1e-10
 
@@ -329,8 +335,7 @@ def test_moment_matrices_match_their_definitions():
     # C_ij = -i <[G_i, M_j]> and Gamma_ij = <{M_i, M_j}>/2 - <M_i><M_j>, one
     # dense expectation at a time, for a ket, the same state as a matrix, and
     # a full-rank lossy state (every column of the square-root factor counts)
-    basis = moment_basis(24, 3)
-    ops = basis.operators
+    ops = moment_basis(24, 3)
     ket = random_ket(24, seed=4)
     p = HamiltonianParams(delta=0.4, epsilon=0.5, kerr=1.0)
     (lossy,) = dynamics.evolve_vacuum(24, p, LossParams(0.3), [0.5])
@@ -350,24 +355,23 @@ def test_moment_matrices_match_their_definitions():
             ]
             for i, a in enumerate(ops)
         ]
-        c, gamma = moment_matrices(state, basis)
+        c, gamma = moment_matrices(state, 3)
         np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-12, atol=1e-12)
 
 
-def test_moment_figures_leave_the_dense_basis_unbuilt():
+def test_moment_figures_leave_the_dense_basis_unbuilt(monkeypatch):
     # the figures apply the sparse stack; only moment_basis densifies it
-    metrology._moment_operators.cache_clear()
-    state = kerr_state(40, delta=0.0, eps=2.0, kt=0.3)
-    moment_sensitivity(state, 3)
-    assert metrology._moment_operators.cache_info().currsize == 0
-    moment_basis(40, 3)
-    assert metrology._moment_operators.cache_info().currsize == 1
+    def dense(*args):
+        raise AssertionError("dense moment basis built")
 
-
-def test_moment_matrices_reject_a_basis_of_another_dim():
-    with pytest.raises(fock.DimensionMismatchError):
-        moment_matrices(QuantumState.vacuum(20), moment_basis(24, 2))
+    monkeypatch.setattr(metrology, "moment_basis", dense)
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    (lossy,) = dynamics.evolve_vacuum(40, p, LossParams(0.1), [0.3])
+    for state in (kerr_state(40, delta=0.0, eps=2.0, kt=0.3), lossy):
+        for order in (1, 2, 3):
+            moment_matrices(state, order)
+            moment_sensitivity(state, order)
 
 
 def test_moment_report_directions():
@@ -397,6 +401,19 @@ def test_mai_operator_and_derivative_routes_agree(kt, sigma2):
     dv = metrology.readout_optimum(r, cov, sigma2)
     assert abs(op.value - dv.value) < 1e-12 * op.value
     assert abs(op.theta_opt - dv.theta_opt) % math.pi < 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_echo_responses_reject_mismatched_lengths(gamma):
+    # gamma = 0 takes the perfect-echo overlaps, gamma > 0 the Heisenberg
+    # readouts; neither may zip or broadcast lists of different lengths
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    loss = LossParams(gamma)
+    states = dynamics.evolve_vacuum(32, p, loss, [0.3, 0.4])
+    assert len(metrology.echo_responses(states, p, loss, [0.3, 0.4])) == 2
+    for times, reversal_times in (([0.3, 0.4], [0.4]), ([0.3], [0.3, 0.4]), ([0.3], None)):
+        with pytest.raises(ValueError):
+            metrology.echo_responses(states, p, loss, times, reversal_times)
 
 
 @pytest.mark.parametrize("reversal_time", [0.5, 0.35, 0.8])
