@@ -1,10 +1,11 @@
 """Experiment configuration: presets, flat key=value parsing, serialization.
 
 A config file is plain text, one ``key = value`` pair per line, ``#`` comments
-allowed.  Grid keys (delta, epsilon, kerr, gamma, kt, sigma2) accept a scalar,
-a comma list, or a ``start:stop:count`` range (inclusive endpoints).  ``kt``
-is the dimensionless K*t when kerr > 0 and the bare evolution time when
-kerr = 0 (the only case where kerr = 0 is meaningful).
+allowed; a key given twice is an error.  Grid keys (delta, epsilon, kerr,
+gamma, kt, sigma2) accept a scalar, a comma list, or a ``start:stop:count``
+range (inclusive endpoints).  ``kt`` is the dimensionless K*t when kerr > 0
+and the bare evolution time when kerr = 0 (the only case where kerr = 0 is
+meaningful).
 
 Unspecified keys fall back to the experiment's preset defaults; parsing a
 serialized config reproduces it exactly.
@@ -201,6 +202,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     declared: str | None = None
     values: dict[str, tuple[float, ...]] = {}
     output: str | None = None
+    seen: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,6 +212,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ConfigError(f"line {line_no}: key {key!r} repeats line {seen[key]}")
+        seen[key] = line_no
         if key == "experiment":
             declared = value
         elif key == "output":

@@ -86,23 +86,22 @@ class LossParams:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
-def hamiltonian(dim: int, p: HamiltonianParams) -> Operator:
-    dim = check_dim(dim)
+def _hamiltonian_bands(dim: int, delta: float, epsilon: float, kerr: float):
+    """The nonzero bands of H: <n|H|n> = delta n - kerr n (n - 1) for n < dim,
+    and <n|H|n + 2> = epsilon sqrt((n + 1)(n + 2)) for n < dim - 2."""
     n = np.arange(dim, dtype=float)
-    h = np.diag(p.delta * n - p.kerr * n * (n - 1.0) + 0j)
-    if p.epsilon != 0.0:
-        m = np.arange(dim - 2, dtype=float)
-        off = p.epsilon * np.sqrt((m + 1.0) * (m + 2.0))
-        h += np.diag(off, k=2) + np.diag(off, k=-2)
-    return Operator(h, hermitian=True)
+    return delta * n - kerr * n * (n - 1.0), epsilon * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+
+
+def hamiltonian(dim: int, p: HamiltonianParams) -> Operator:
+    diag, off = _hamiltonian_bands(check_dim(dim), p.delta, p.epsilon, p.kerr)
+    return Operator(np.diag(diag + 0j) + np.diag(off, k=2) + np.diag(off, k=-2), hermitian=True)
 
 
 @lru_cache(maxsize=32)
 def _eigensystem(dim: int, delta: float, epsilon: float, kerr: float, parity: int):
-    n = np.arange(parity, dim, 2, dtype=float)
-    diag = delta * n - kerr * n * (n - 1.0)
-    off = epsilon * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-    evals, evecs = eigh_tridiagonal(diag, off)
+    diag, off = _hamiltonian_bands(dim, delta, epsilon, kerr)
+    evals, evecs = eigh_tridiagonal(diag[parity::2], off[parity::2])
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs

@@ -1,8 +1,10 @@
 """Truncated Fock-space operators, states, and moments.
 
 Everything lives on the number basis |0>, ..., |dim-1> as dense complex
-matrices; sparse_annihilation is the CSR ladder that sparse products start
-from. Quadrature convention: X = (a + a^dag)/sqrt(2) and
+matrices.  sparse_annihilation is the one construction of the ladder
+operator a: the dense annihilation densifies it (creation, quadrature and
+displacement read that), and the ket-level apply_* helpers are products with
+it or its transpose.  Quadrature convention: X = (a + a^dag)/sqrt(2) and
 P = -i(a - a^dag)/sqrt(2), so [X, P] = i away from the truncation edge and
 the vacuum has Var[X] = 1/2.
 
@@ -17,7 +19,6 @@ import cmath
 import logging
 import math
 import warnings
-from functools import lru_cache
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -314,15 +315,6 @@ def normalized_kets(kets: np.ndarray) -> np.ndarray:
 # operator factories
 
 
-@lru_cache(maxsize=64)
-def _ladder_matrix(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    a.setflags(write=False)
-    return a
-
-
 def sparse_annihilation(dim: int) -> sp.csr_matrix:
     """The ladder operator a as a complex CSR matrix (one superdiagonal)."""
     dim = check_dim(dim)
@@ -331,11 +323,11 @@ def sparse_annihilation(dim: int) -> sp.csr_matrix:
 
 
 def annihilation(dim: int) -> Operator:
-    return Operator(_ladder_matrix(check_dim(dim)))
+    return Operator(sparse_annihilation(dim).toarray())
 
 
 def creation(dim: int) -> Operator:
-    return Operator(_ladder_matrix(check_dim(dim)).conj().T)
+    return annihilation(dim).dagger()
 
 
 def number_operator(dim: int) -> Operator:
@@ -348,7 +340,7 @@ def identity(dim: int) -> Operator:
 
 def quadrature(dim: int, theta: float) -> Operator:
     """M(theta) = (a e^{-i theta} + a^dag e^{i theta}) / sqrt(2)."""
-    a = _ladder_matrix(check_dim(dim))
+    a = annihilation(dim).matrix
     phase = np.exp(-1j * theta)
     return Operator((a * phase + a.conj().T * np.conj(phase)) / math.sqrt(2.0), hermitian=True)
 
@@ -373,7 +365,7 @@ def displacement(dim: int, alpha: complex) -> Operator:
     it displaces goes through check_tail.
     """
     alpha = complex(alpha)
-    a = _ladder_matrix(check_dim(dim))
+    a = annihilation(dim).matrix
     return Operator(expm(alpha * a.conj().T - np.conj(alpha) * a))
 
 
@@ -484,23 +476,18 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# banded applications (hot-loop helpers; operate on raw kets)
+# a, a^dag and M(theta) on raw kets, as products with sparse_annihilation.
+# No package code calls them; perfbench/spans.py traces apply_quadrature.
 
 
 def apply_annihilation(psi: np.ndarray) -> np.ndarray:
     """a psi for a ket, or for each column of a block of kets."""
-    out = np.zeros_like(psi)
-    n = np.arange(1, psi.shape[0], dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
-    out[:-1] = np.sqrt(n) * psi[1:]
-    return out
+    return sparse_annihilation(psi.shape[0]) @ psi
 
 
 def apply_creation(psi: np.ndarray) -> np.ndarray:
     """a^dag psi for a ket, or for each column of a block of kets."""
-    out = np.zeros_like(psi)
-    n = np.arange(1, psi.shape[0], dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
-    out[1:] = np.sqrt(n) * psi[:-1]
-    return out
+    return sparse_annihilation(psi.shape[0]).T @ psi
 
 
 def apply_quadrature(psi: np.ndarray, theta: float) -> np.ndarray:

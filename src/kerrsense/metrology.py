@@ -50,7 +50,6 @@ from .fock import (
     DimensionMismatchError,
     Operator,
     QuantumState,
-    annihilation,
     at_dim,
     check_dim,
     covariance_from_moments,
@@ -425,8 +424,8 @@ def _mai_operator_route(
 
 def _readout_block(dim: int) -> np.ndarray:
     """vec(A^T) of the readouts A = a, a^2, a^dag a, as the columns of a block."""
-    a = annihilation(dim).matrix
-    return np.stack([m.T.reshape(-1) for m in (a, a @ a, a.conj().T @ a)], axis=1)
+    a = sparse_annihilation(dim)
+    return np.stack([m.T.toarray().reshape(-1) for m in (a, a @ a, a.conj().T @ a)], axis=1)
 
 
 def _mai_derivative_route(

@@ -4,6 +4,7 @@ import pytest
 
 from kerrsense.config import (
     EXPERIMENTS,
+    GRID_KEYS,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -50,6 +51,10 @@ def test_default_fig2_pins_snapshot_time():
 def test_unknown_experiment():
     with pytest.raises(ConfigError):
         default_config("fig9")
+    with pytest.raises(ConfigError, match="unknown experiment 'fig9'"):
+        parse_config("experiment = fig9\n")
+    with pytest.raises(ConfigError, match="unknown experiment 'fig9'"):
+        ExperimentConfig("fig9", **{k: (0.5,) for k in GRID_KEYS})
 
 
 def test_parse_scalar_and_list_and_range():
@@ -103,6 +108,13 @@ def test_parse_error_diagnostics_carry_line_numbers():
         parse_config("kt = 0.5\nbogus_key = 1\n", experiment="custom")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("just some words\n", experiment="custom")
+    # a repeated key is refused at its repeat, not silently overwritten
+    with pytest.raises(ConfigError, match="line 2: key 'kt' repeats line 1"):
+        parse_config("kt = 0.1\nkt = 0.2\nexperiment = custom\nexperiment = fig2\n")
+    with pytest.raises(ConfigError, match="line 3: key 'experiment' repeats line 1"):
+        parse_config("experiment = custom\nkt = 0.1\nexperiment = fig2\n")
+    with pytest.raises(ConfigError, match="line 4: key 'output' repeats line 2"):
+        parse_config("kt = 0.1\noutput = a.csv\n\noutput = b.csv\n", experiment="custom")
 
 
 def test_parse_output_key():
@@ -119,6 +131,10 @@ def test_axis_validation():
         parse_config("kt = 0.5\ngamma = -0.1\n", experiment="custom")
     with pytest.raises(ConfigError):
         parse_config("kt = 0.5\nsigma2 = -1\n", experiment="custom")
+    axes = {k: (0.5,) for k in GRID_KEYS}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="non-finite value in grid 'kt'"):
+            ExperimentConfig("custom", **{**axes, "kt": (bad,)})
     # delta and epsilon may be any finite value, including negatives
     cfg = parse_config("kt = 0.5\ndelta = -5\nepsilon = 0\n", experiment="custom")
     assert cfg.delta == (-5.0,)

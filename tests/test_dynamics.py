@@ -121,6 +121,9 @@ def test_sector_propagation_of_thermal_density_matrix():
     np.testing.assert_allclose(
         propagate(rho, SECTOR_PARAMS, t, density=True), u @ rho @ u.conj().T, rtol=0, atol=1e-12
     )
+    evolved = evolve_unitary(QuantumState.thermal(SECTOR_DIM, 1.5), SECTOR_PARAMS, t)
+    assert not evolved.is_pure
+    np.testing.assert_allclose(evolved.data, u @ rho @ u.conj().T, rtol=0, atol=1e-12)
 
 
 def test_vacuum_evolution_never_solves_the_odd_sector():

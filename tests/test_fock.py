@@ -176,6 +176,12 @@ def test_operator_arithmetic_and_hermiticity():
     np.testing.assert_allclose(prod.matrix, x.matrix @ p.matrix, atol=0.0)
     with pytest.raises(DimensionMismatchError):
         position(6) + position(8)
+    with pytest.raises(ValueError, match="must be square"):
+        Operator(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        Operator(np.diag([1.0, np.inf]))
+    with pytest.raises(ValueError, match="asserted Hermitian"):
+        Operator(annihilation(4).matrix, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,10 @@ def test_from_density_matrix_validation():
     neg = np.diag([1.1, -0.1, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         QuantumState.from_density_matrix(neg)
+    with pytest.raises(ValueError, match="must be square"):
+        QuantumState.from_density_matrix(good[:2])
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState.from_density_matrix(np.diag([1.0, np.nan, 0.0]))
 
 
 def test_tail_population_warning():

@@ -282,7 +282,7 @@ def test_lossless_rows_use_no_dense_ladder_or_basis(monkeypatch):
         raise AssertionError("dense ladder or basis matrix built")
 
     metrology._moment_matrices.cache_clear()
-    monkeypatch.setattr(fock, "_ladder_matrix", dense)
+    monkeypatch.setattr(fock, "annihilation", dense)
     monkeypatch.setattr(metrology, "moment_basis", dense)
     row = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.4, with_k2=True, with_k3=True)
     assert row.chi2inv_1 <= row.chi2inv_3 <= row.f_q
@@ -434,7 +434,7 @@ def test_run_fig2_reduced_grid():
 
 def test_run_fig1_traces_and_optima():
     cfg = ExperimentConfig(
-        "fig1", (0.0,), (2.0, 4.0), (0.0, 1.0), (0.0,), (0.0, 0.1, 0.25), (0.0,)
+        "fig1", (0.0,), (0.0, 2.0, 4.0), (0.0, 1.0), (0.0,), (0.0, 0.1, 0.25), (0.0,)
     )
     res = run_fig1(cfg, dim=150)
     # traces fix epsilon = 2 and sweep kerr x kt; kt is the bare time at K = 0
@@ -446,7 +446,8 @@ def test_run_fig1_traces_and_optima():
             assert row.v_min == pytest.approx(law, rel=1e-6)
         assert row.chi2inv_1 == pytest.approx(1.0 / row.v_min, rel=1e-12)
 
-    # the optima table is per unit K: kerr = 0 has no interior optimum
+    # the optima table is per unit K (kerr = 0 has no interior optimum); at
+    # epsilon = 0 the vacuum is stationary, so that point has no row
     assert sorted(r.epsilon for r in res.optima) == [2.0, 4.0]
     by_eps = {r.epsilon: r for r in res.optima}
     for eps, row in by_eps.items():
@@ -862,6 +863,30 @@ def test_cli_json_format(tmp_path):
     cfg.write_text("experiment = fig2\ndelta = 0\nepsilon = 0\n")
     assert main(["fig2", "--config", str(cfg), "--out", str(out), "--format", "json", "--dim", "32"]) == 0
     assert json.loads(out.read_text())["experiment"] == "fig2"
+
+
+def test_cli_default_output_paths(tmp_path, monkeypatch, capsys):
+    # --out, else the config's output key, else <experiment>.<format> in the
+    # working directory; wigner always writes JSON
+    monkeypatch.chdir(tmp_path)
+    Path("point.cfg").write_text("epsilon = 1\nkt = 0.3\n")
+    Path("named.cfg").write_text("epsilon = 1\nkt = 0.3\noutput = from_cfg.csv\n")
+    Path("still.cfg").write_text("gamma = 0\n")
+    runs = [
+        (["custom", "--config", "named.cfg", "--out", "flag.csv"], "flag.csv"),
+        (["custom", "--config", "named.cfg"], "from_cfg.csv"),
+        (["custom", "--config", "point.cfg"], "custom.csv"),
+        (["custom", "--config", "point.cfg", "--format", "json"], "custom.json"),
+        (["wigner", "--config", "still.cfg"], "wigner.json"),
+    ]
+    for argv, written in runs:
+        before = set(os.listdir())
+        assert main(argv + ["--dim", "48"]) == 0
+        assert set(os.listdir()) - before == {written}
+        assert capsys.readouterr().out == f"{written}\n"
+    assert len(Path("flag.csv").read_text().splitlines()) == 2
+    assert json.loads(Path("custom.json").read_text())["experiment"] == "custom"
+    assert json.loads(Path("wigner.json").read_text())
 
 
 def test_cli_ordering_violation_is_exit_1(tmp_path, capsys):

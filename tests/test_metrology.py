@@ -55,9 +55,14 @@ def test_sensitivity_matches_commutator_formula():
     state = random_ket(24, seed=2)
     g = quadrature(24, 0.7)
     m = quadrature(24, 2.1)
-    comm = fock.expectation(state, fock.commutator(g, m))
-    expected = abs(comm) ** 2 / fock.variance(state, m)
-    assert abs(sensitivity(state, g, m) - expected) < 1e-10
+    other = random_ket(24, seed=3)
+    mixed = QuantumState.from_density_matrix(
+        0.7 * state.density_matrix() + 0.3 * other.density_matrix()
+    )
+    for s in (state, mixed):
+        comm = fock.expectation(s, fock.commutator(g, m))
+        expected = abs(comm) ** 2 / fock.variance(s, m)
+        assert abs(sensitivity(s, g, m) - expected) < 1e-10
 
 
 def test_sensitivity_validation():
@@ -112,6 +117,10 @@ def test_qfi_pure_is_four_variances():
     assert abs(qfi_pure(state, g) - expected) < 1e-10
     # the spectral route must agree on pure states
     assert abs(qfi_generator(state, g) - expected) < 1e-8
+    with pytest.raises(ValueError, match="pure state"):
+        qfi_pure(QuantumState.thermal(20, 0.5), g)
+    with pytest.raises(ValueError, match="Hermitian generator"):
+        qfi_pure(state, Operator(1j * g.matrix))
 
 
 def test_qfi_max_squeezed_vacuum():
