@@ -71,6 +71,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment '{self.experiment}' sweeps parameters per unit K; kerr must be > 0"
             )
+        # scaling and loss-robustness read neighbouring kt entries as neighbouring times
+        increasing = list(self.kt) == sorted(set(self.kt))
+        if self.experiment in ("scaling", "loss-robustness") and not increasing:
+            raise ConfigError(
+                f"experiment '{self.experiment}' reads kt as a time axis; "
+                "kt must be strictly increasing"
+            )
 
     def axis(self, key: str) -> tuple[float, ...]:
         if key not in GRID_KEYS:

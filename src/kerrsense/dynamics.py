@@ -126,16 +126,13 @@ def _real_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (out[:, :k] + 1j * out[:, k:]).reshape((a.shape[0],) + b.shape[1:])
 
 
-def propagate(x, p: HamiltonianParams, t: float, density: bool = False) -> np.ndarray:
-    """exp(-i H t) applied to a ket, to the columns of a (dim, k) block, or,
-    with density=True, to a density matrix as U rho U^dag.
+def propagate(x, p: HamiltonianParams, t: float) -> np.ndarray:
+    """exp(-i H t) applied to a ket or to the columns of a (dim, k) block.
 
     The even and odd rows propagate in their own parity sector; a sector
     whose rows are all zero is skipped, so the vacuum never needs the odd one.
     """
     x = np.asarray(x, dtype=complex)
-    if density:  # U rho U^dag = (U (U rho)^dag)^dag
-        return propagate(propagate(x, p, t).conj().T, p, t).conj().T
     out = np.zeros_like(x)
     for parity in (0, 1):
         rows = x[parity::2]
@@ -159,11 +156,12 @@ def _checked(states: list[QuantumState]) -> list[QuantumState]:
 
 
 def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> QuantumState:
-    """Propagate a state with exp(-i H t); negative t reverses the evolution."""
+    """U W, U = exp(-i H t), for the state's factor W; negative t reverses it."""
+    w = propagate(state.factor(), p, t)
     if state.is_pure:
-        out = QuantumState.from_ket(propagate(state.data, p, t))
+        out = QuantumState.from_ket(w)
     else:
-        out = QuantumState.from_density_matrix(propagate(state.data, p, t, density=True))
+        out = QuantumState.from_density_matrix(w @ w.conj().T)
     return _checked([out])[0]
 
 
@@ -179,7 +177,8 @@ def liouvillian(dim: int, p: HamiltonianParams, loss: LossParams, reverse: bool 
     """
     dim = check_dim(dim)
     sign = -1.0 if reverse else 1.0
-    h = sp.csr_matrix(sign * hamiltonian(dim, p).matrix)
+    diag, off = _hamiltonian_bands(dim, p.delta, p.epsilon, p.kerr)
+    h = sign * sp.diags([off, diag, off], [-2, 0, 2], format="csr", dtype=complex)
     eye = sp.identity(dim, dtype=complex, format="csr")
     lv = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
     if loss.gamma > 0.0:
@@ -216,10 +215,6 @@ class LiouvillianBlock:
         shift = complex(lv.diagonal().sum()) / n
         a = (lv - shift * sp.identity(n, dtype=complex, format="csr")).tocsr()
         return cls(a, shift, float(abs(a).sum(axis=0).max()))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def _taylor_parameters(norm: float) -> tuple[int, int]:

@@ -8,6 +8,10 @@ it or its transpose.  Quadrature convention: X = (a + a^dag)/sqrt(2) and
 P = -i(a - a^dag)/sqrt(2), so [X, P] = i away from the truncation edge and
 the vacuum has Var[X] = 1/2.
 
+A state enters every expectation through QuantumState.factor, W with
+rho = W W^dag (a ket is one column), one path for pure and mixed states; only
+ladder_moments keeps banded sums on the ket and on the diagonals of rho.
+
 Truncation: constructors only validate.  check_tail judges a result's tail
 (the population of its top TAIL_FRACTION of levels), and at_dim, the entry
 of every dim-dependent result, applies it once to the result it returns.
@@ -73,6 +77,21 @@ def _require_same_dim(a, b) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _square_matrix(matrix, name: str) -> np.ndarray:
+    """matrix as a complex array, checked square, of a valid dim and finite."""
+    m = np.array(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    check_dim(m.shape[0])
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
+def _hermitian_deviation(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
 class Operator:
     """Dense operator on a truncated Fock space.
 
@@ -83,14 +102,9 @@ class Operator:
     __slots__ = ("matrix", "dim", "_hermitian")
 
     def __init__(self, matrix, hermitian: bool | None = None):
-        mat = np.array(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        check_dim(mat.shape[0])
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-            raise ValueError("operator matrix has non-finite entries")
+        mat = _square_matrix(matrix, "operator matrix")
         if hermitian:
-            err = float(np.max(np.abs(mat - mat.conj().T)))
+            err = _hermitian_deviation(mat)
             if err > HERMITIAN_TOL:
                 raise ValueError(f"matrix asserted Hermitian but deviates by {err:.3e}")
         mat.setflags(write=False)
@@ -101,8 +115,7 @@ class Operator:
     @property
     def is_hermitian(self) -> bool:
         if self._hermitian is None:
-            err = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-            self._hermitian = err <= HERMITIAN_TOL
+            self._hermitian = _hermitian_deviation(self.matrix) <= HERMITIAN_TOL
         return self._hermitian
 
     def dagger(self) -> "Operator":
@@ -161,24 +174,14 @@ class QuantumState:
     def from_ket(cls, vec) -> "QuantumState":
         v = np.array(vec, dtype=complex).reshape(-1)
         check_dim(v.shape[0])
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("state vector has non-finite entries")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > PURE_NORM_TOL:
-            raise ValueError(f"ket norm {norm!r} deviates from 1 beyond {PURE_NORM_TOL}")
-        v = v / norm
+        v = normalized_kets(v[:, None])[:, 0]
         v.setflags(write=False)
         return cls(v, "pure", v.shape[0])
 
     @classmethod
     def from_density_matrix(cls, mat) -> "QuantumState":
-        m = np.array(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        check_dim(m.shape[0])
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("density matrix has non-finite entries")
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
+        m = _square_matrix(mat, "density matrix")
+        herm_err = _hermitian_deviation(m)
         if herm_err > HERMITIAN_TOL:
             raise ValueError(f"density matrix deviates from Hermitian by {herm_err:.3e}")
         tr = float(np.trace(m).real)
@@ -228,10 +231,8 @@ class QuantumState:
         dim = check_dim(dim)
         if n_thermal < 0:
             raise ValueError("thermal occupation must be >= 0")
-        if n_thermal == 0:
-            return cls.from_density_matrix(np.diag([1.0] + [0.0] * (dim - 1)))
         # Boltzmann weights q^n with q = n_th / (1 + n_th), renormalised on
-        # the truncated space.
+        # the truncated space (n_th = 0: q^0 = 1, the vacuum).
         q = n_thermal / (1.0 + n_thermal)
         w = q ** np.arange(dim)
         state = cls.from_density_matrix(np.diag(w / w.sum() + 0j))
@@ -260,6 +261,14 @@ class QuantumState:
 
     def tail_population(self) -> float:
         return float(tail_populations(self.populations()))
+
+    def factor(self) -> np.ndarray:
+        """W with rho = W W^dag: the ket as one column, or V sqrt(lambda) from the
+        eigendecomposition of a density matrix (eigenvalues clipped at 0)."""
+        if self.is_pure:
+            return self.data[:, None]
+        lam, vecs = np.linalg.eigh(self.data)
+        return vecs * np.sqrt(np.clip(lam, 0.0, None))
 
     def purity(self) -> float:
         if self.is_pure:
@@ -374,26 +383,22 @@ def displacement(dim: int, alpha: complex) -> Operator:
 
 
 def expectation(state: QuantumState, op: Operator) -> complex:
+    """<A> = Tr[W^dag A W] for the state's factor W."""
     _require_same_dim(state, op)
-    if state.is_pure:
-        return complex(np.vdot(state.data, op.matrix @ state.data))
-    return complex(np.sum(state.data.T * op.matrix))
+    w = state.factor()
+    return complex(np.vdot(w, op.matrix @ w))
+
+
+def _expect_product(w: np.ndarray, a: Operator, b: Operator) -> complex:
+    """<AB> = Tr[(A W)^dag (B W)] for Hermitian A and a state's factor W."""
+    return complex(np.vdot(a.matrix @ w, b.matrix @ w))
 
 
 def variance(state: QuantumState, op: Operator) -> float:
     """Var[A] = <A^2> - <A>^2 for Hermitian A, clamped at zero."""
-    _require_same_dim(state, op)
     if not op.is_hermitian:
         raise ValueError("variance requires a Hermitian operator")
-    if state.is_pure:
-        w = op.matrix @ state.data
-        second = float(np.vdot(w, w).real)
-        mean = float(np.vdot(state.data, w).real)
-    else:
-        rho_a = state.data @ op.matrix
-        second = float(np.sum(rho_a.T * op.matrix).real)
-        mean = float(np.trace(rho_a).real)
-    var = second - mean * mean
+    var = covariance(state, op, op)
     if var < VARIANCE_FLOOR:
         raise RuntimeError(f"variance {var:.3e} below tolerance floor {VARIANCE_FLOOR}")
     return max(var, 0.0)
@@ -405,18 +410,9 @@ def covariance(state: QuantumState, a: Operator, b: Operator) -> float:
     _require_same_dim(state, b)
     if not (a.is_hermitian and b.is_hermitian):
         raise ValueError("covariance requires Hermitian operators")
-    if state.is_pure:
-        va = a.matrix @ state.data
-        vb = b.matrix @ state.data
-        cross = complex(np.vdot(va, vb))
-        mean_a = float(np.vdot(state.data, va).real)
-        mean_b = float(np.vdot(state.data, vb).real)
-    else:
-        rho_a = state.data @ a.matrix
-        cross = complex(np.sum(rho_a.T * b.matrix))
-        mean_a = float(np.trace(rho_a).real)
-        mean_b = float(np.sum(state.data.T * b.matrix).real)
-    return float(cross.real - mean_a * mean_b)
+    w = state.factor()
+    mean_a, mean_b = (float(np.vdot(w, m.matrix @ w).real) for m in (a, b))
+    return float(_expect_product(w, a, b).real - mean_a * mean_b)
 
 
 def ket_ladder_moments(psi: np.ndarray):
@@ -459,20 +455,11 @@ def quadrature_covariance(state: QuantumState) -> np.ndarray:
 
 
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
+    """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2, in Jozsa's
+    form ||W_a^dag W_b||_1^2 (J. Mod. Opt. 41, 2315 (1994)) on the factors."""
     _require_same_dim(a, b)
-    if a.is_pure and b.is_pure:
-        return float(np.abs(np.vdot(a.data, b.data)) ** 2)
-    if a.is_pure:
-        return float(np.vdot(a.data, b.data @ a.data).real)
-    if b.is_pure:
-        return float(np.vdot(b.data, a.data @ b.data).real)
-    w, v = np.linalg.eigh(a.data)
-    w = np.clip(w, 0.0, None)
-    sqrt_a = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_a @ b.data @ sqrt_a
-    ev = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
+    overlap = a.factor().conj().T @ b.factor()
+    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,15 @@ backwards once in the Heisenberg picture instead.
 The moment basis of order 3 (X, P, their three quadratic and four cubic
 symmetrised products) is built once per dim as one sparse CSR stack of nine
 dim x dim blocks, from products of the sparse ladder; the order-1 and
-order-2 bases are its leading blocks. A state enters through a square-root
-factor W with rho = W W^dag (a ket is one column; a density matrix gives
-V sqrt(lambda) from its eigendecomposition), so every <M_i M_j> table is
-one sparse product of the stack with W followed by a small Gram matrix, for
-pure and mixed states alike. The mixed-state QFI and the echo's kicks
--i[G, rho] take X and P from the same stack. A basis is selected by its
-order alone; moment_basis densifies the leading blocks, uncached, for
-callers that want Operators, and no figure calls it.
+order-2 bases are its leading blocks. A state enters, here as in fock,
+through its one entry QuantumState.factor, a square-root factor W with
+rho = W W^dag (a ket is one column; a density matrix gives V sqrt(lambda)
+from its eigendecomposition), so every <M_i M_j> table is one sparse
+product of the stack with W followed by a small Gram matrix, for pure and
+mixed states alike. The mixed-state QFI and the echo's kicks -i[G, rho]
+take X and P from the same stack. A basis is selected by its order alone;
+moment_basis densifies the leading blocks, uncached, for callers that want
+Operators, and no figure calls it.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import dynamics
+from . import dynamics, fock
 from .fock import (
     DimensionMismatchError,
     Operator,
@@ -103,12 +104,6 @@ def _angle_of(vec: np.ndarray) -> float:
 # direct sensitivity
 
 
-def _expect_product(state: QuantumState, a: Operator, b: Operator) -> complex:
-    if state.is_pure:
-        return complex(np.vdot(a.matrix @ state.data, b.matrix @ state.data))
-    return complex(np.sum((state.data @ a.matrix).T * b.matrix))
-
-
 def sensitivity(
     state: QuantumState,
     generator: Operator,
@@ -127,7 +122,7 @@ def sensitivity(
             f"measurement variance {var:.3e} is degenerate (<= {DEGENERATE_VARIANCE})"
         )
     # <[G, M]> = z - conj(z) with z = <G M>
-    z = _expect_product(state, generator, measurement)
+    z = fock._expect_product(state.factor(), generator, measurement)
     numerator = 4.0 * z.imag**2
     return numerator / (var + sigma2)
 
@@ -272,15 +267,6 @@ def moment_basis(dim: int, order: int) -> tuple[Operator, ...]:
     return tuple(Operator(b, hermitian=True) for b in blocks.reshape(count, dim, dim))
 
 
-def _square_root_factor(state: QuantumState) -> np.ndarray:
-    """W with rho = W W^dag: the ket as one column, or V sqrt(lambda) from the
-    eigendecomposition of a density matrix (eigenvalues clipped at 0)."""
-    if state.is_pure:
-        return state.data[:, None]
-    lam, vecs = np.linalg.eigh(state.data)
-    return vecs * np.sqrt(np.clip(lam, 0.0, None))
-
-
 def moment_matrices(state: QuantumState, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Commutator matrix C and covariance matrix Gamma of the measured basis
     of this order (1, 2 or 3; anything else raises ValueError).
@@ -292,7 +278,7 @@ def moment_matrices(state: QuantumState, order: int) -> tuple[np.ndarray, np.nda
     entries, C_ij = -i <[G_i, M_j]> = 2 Im <G_i M_j> is its first two rows.
     """
     count = _basis_length(order)
-    w = _square_root_factor(state)
+    w = state.factor()
     mw = _basis_products(w, count).reshape(count, -1)
     means = (mw @ w.conj().reshape(-1)).real
     prod = mw.conj() @ mw.T

@@ -170,16 +170,13 @@ def position_distribution(state: QuantumState, x: np.ndarray) -> np.ndarray:
 
     Uses the normalized Hermite-function recurrence, which is stable in the
     classically allowed region; matches the p-integrated Wigner marginal.
+    With the state's factor W the density is sum_k |phi^T W|^2.
     """
     x = np.asarray(x, dtype=float)
     dim = state.dim
     phi = np.empty((dim, x.size))
     phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if dim > 1:
-        phi[1] = np.sqrt(2.0) * x * phi[0]
+    phi[1] = np.sqrt(2.0) * x * phi[0]
     for n in range(2, dim):
         phi[n] = x * np.sqrt(2.0 / n) * phi[n - 1] - np.sqrt((n - 1) / n) * phi[n - 2]
-    if state.kind == "pure":
-        amp = phi.T @ state.ket
-        return np.abs(amp) ** 2
-    return np.einsum("ik,ij,jk->k", phi, state.density_matrix(), phi).real
+    return np.sum(np.abs(phi.T @ state.factor()) ** 2, axis=1)

@@ -148,6 +148,17 @@ def test_unit_kerr_experiments_require_positive_kerr():
     assert cfg.kerr == (0.0,)
 
 
+def test_time_axis_experiments_require_increasing_kt():
+    for name in ("scaling", "loss-robustness"):
+        for kt in ("0.3, 0.1, 0.2", "0.1, 0.2, 0.2"):
+            with pytest.raises(ConfigError, match="kt must be strictly increasing"):
+                parse_config(f"kt = {kt}\n", experiment=name)
+        assert parse_config("kt = 0.2\n", experiment=name).kt == (0.2,)
+    # a sweep that only tabulates its kt axis takes it in any order
+    for name in ("fig3", "custom"):
+        assert parse_config("kt = 0.3, 0.1, 0.3\n", experiment=name).kt == (0.3, 0.1, 0.3)
+
+
 def test_axis_accessor_rejects_unknown_key():
     cfg = default_config("fig2")
     with pytest.raises(KeyError):

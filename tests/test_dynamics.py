@@ -118,9 +118,6 @@ def test_sector_propagation_of_thermal_density_matrix():
     t = 0.3
     rho = QuantumState.thermal(SECTOR_DIM, 1.5).density_matrix()
     u = _dense_propagator(SECTOR_DIM, SECTOR_PARAMS, t)
-    np.testing.assert_allclose(
-        propagate(rho, SECTOR_PARAMS, t, density=True), u @ rho @ u.conj().T, rtol=0, atol=1e-12
-    )
     evolved = evolve_unitary(QuantumState.thermal(SECTOR_DIM, 1.5), SECTOR_PARAMS, t)
     assert not evolved.is_pure
     np.testing.assert_allclose(evolved.data, u @ rho @ u.conj().T, rtol=0, atol=1e-12)
@@ -287,7 +284,7 @@ def test_lindblad_parity_blocks(reverse, transposed):
     rows, cols = lv.nonzero()
     assert np.all(parity[rows] == parity[cols])
     even, odd = dynamics.liouvillian_blocks(dim, p, loss, reverse, transposed)
-    assert even.shape == odd.shape == (dim * dim // 2, dim * dim // 2)
+    assert even.matrix.shape == odd.matrix.shape == (dim * dim // 2, dim * dim // 2)
 
     rho = random_density(dim, seed=5).reshape(-1)
     assert np.any(rho[parity == 0]) and np.any(rho[parity == 1])
@@ -321,7 +318,7 @@ def test_lindblad_apply_matches_dense_expm_per_column(reverse, transposed, dt):
     readouts = _echo_readout_block(dim)
     for idx, lv in zip(dynamics._parity_indices(dim), blocks):
         block = readouts[idx]
-        dense = lv.matrix.toarray() + lv.shift * np.eye(lv.shape[0])
+        dense = lv.matrix.toarray() + lv.shift * np.eye(lv.matrix.shape[0])
         expected = scipy.linalg.expm(dense * dt) @ block
         got = dynamics._lindblad_apply(lv, block, dt)
         for k in range(block.shape[1]):

@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerrsense import fock
+from kerrsense.dynamics import HamiltonianParams, evolve_unitary
 from kerrsense.fock import (
     DimensionMismatchError,
     Operator,
@@ -35,6 +37,7 @@ from kerrsense.fock import (
     variance,
 )
 from kerrsense.harness import _row_figures, evaluate_point
+from kerrsense.wigner import position_distribution
 
 
 def random_ket(dim: int, seed: int) -> QuantumState:
@@ -291,6 +294,47 @@ def test_mixed_state_accessors():
     with pytest.raises(ValueError):
         _ = s.ket
     np.testing.assert_array_equal(s.density_matrix(), s.data)
+    # the factor W has one column per level and W W^dag = rho
+    mixed = random_mixed(20, seed=9)
+    w = mixed.factor()
+    assert w.shape == (20, 20)
+    np.testing.assert_allclose(w @ w.conj().T, mixed.data, rtol=0, atol=1e-14)
+
+
+def test_pure_state_accessors():
+    s = random_ket(16, seed=2)
+    assert s.purity() == 1.0
+    np.testing.assert_array_equal(s.factor()[:, 0], s.ket)
+    vacuum = QuantumState.coherent(16, 0)
+    assert vacuum.is_pure
+    np.testing.assert_array_equal(vacuum.ket, QuantumState.vacuum(16).ket)
+
+
+def test_ket_and_its_density_matrix_agree_through_the_factor():
+    # one path for both kinds: the ket as one column and the factor of its
+    # outer product give the same figures
+    dim = 30
+    rng = np.random.default_rng(12)
+    v = np.zeros(dim, dtype=complex)
+    v[:12] = rng.normal(size=12) + 1j * rng.normal(size=12)
+    pure = QuantumState.from_ket(v / np.linalg.norm(v))
+    mixed = QuantumState.from_density_matrix(pure.density_matrix())
+    assert not mixed.is_pure
+    x, p, a = position(dim), momentum(dim), annihilation(dim)
+    assert abs(expectation(pure, a) - expectation(mixed, a)) < 1e-13
+    assert abs(covariance(pure, x, p) - covariance(mixed, x, p)) < 1e-13
+    assert abs(variance(pure, x) - variance(mixed, x)) < 1e-13
+    grid = np.linspace(-5.0, 5.0, 41)
+    np.testing.assert_allclose(
+        position_distribution(pure, grid), position_distribution(mixed, grid), rtol=0, atol=1e-13
+    )
+    params = HamiltonianParams(delta=0.3, epsilon=0.8, kerr=0.5)
+    evolved_pure = evolve_unitary(pure, params, 0.1)
+    evolved_mixed = evolve_unitary(mixed, params, 0.1)
+    assert evolved_pure.is_pure and not evolved_mixed.is_pure
+    np.testing.assert_allclose(
+        evolved_pure.density_matrix(), evolved_mixed.data, rtol=0, atol=1e-13
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +351,14 @@ def test_covariance_matches_dense_definition():
         np.trace(rho @ x.matrix).real * np.trace(rho @ p.matrix).real
     )
     assert abs(covariance(s, x, p) - expected) < 1e-12
+
+
+def test_variance_and_covariance_reject_non_hermitian_operators():
+    s = QuantumState.vacuum(8)
+    with pytest.raises(ValueError, match="variance requires a Hermitian operator"):
+        variance(s, annihilation(8))
+    with pytest.raises(ValueError, match="covariance requires Hermitian operators"):
+        covariance(s, position(8), annihilation(8))
 
 
 def test_ladder_moments_match_dense():
@@ -381,9 +433,30 @@ def test_state_fidelity_mixed_branches_agree():
     fast = state_fidelity(pure, mixed)
     as_density = QuantumState.from_density_matrix(pure.density_matrix())
     general = state_fidelity(as_density, mixed)
-    # the general branch goes through two eigendecompositions
+    # the factor of a rank-1 density matrix carries square roots of its
+    # round-off eigenvalues
     assert abs(fast - general) < 5e-8
     assert abs(state_fidelity(mixed, mixed) - 1.0) < 1e-8
+
+
+def _sqrtm_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    root = scipy.linalg.sqrtm(a)
+    return float(np.trace(scipy.linalg.sqrtm(root @ b @ root)).real ** 2)
+
+
+def test_state_fidelity_matches_sqrtm():
+    dim = 40
+    cold, warm = QuantumState.thermal(dim, 0.5), QuantumState.thermal(dim, 1.2)
+    expected = _sqrtm_fidelity(cold.data, warm.data)
+    assert abs(state_fidelity(cold, warm) - expected) < 1e-12
+    assert abs(state_fidelity(warm, cold) - expected) < 1e-12
+    # a rank-1 density matrix holds only to ~1e-8 (square roots of its
+    # round-off eigenvalues), where its ket is exact
+    ket = random_ket(dim, seed=3)
+    rank1 = QuantumState.from_density_matrix(ket.density_matrix())
+    exact = float(np.vdot(ket.ket, warm.data @ ket.ket).real)
+    assert abs(state_fidelity(ket, warm) - exact) < 1e-12
+    assert abs(state_fidelity(rank1, warm) - exact) < 2e-8
 
 
 def test_state_fidelity_dim_mismatch():

@@ -541,6 +541,12 @@ def test_run_loss_robustness_lossless_row():
     assert 0.3 <= row.kt <= 0.5  # reported kt is the echo optimum
 
 
+def test_parabolic_vertex_of_collinear_points_is_none():
+    x = np.array([0.1, 0.2, 0.3])
+    assert harness._parabolic_vertex(x, 2.0 * x + 1.0, 1) is None
+    assert harness._parabolic_vertex(x, np.array([1.0, 2.0, 1.0]), 1) == pytest.approx(0.2)
+
+
 def test_run_custom_axis_order_and_noise():
     cfg = ExperimentConfig(
         "custom", (0.0,), (2.0,), (1.0,), (0.0,), (0.1, 0.2), (0.0, 0.5)
@@ -579,10 +585,13 @@ def _recording_group_pass(monkeypatch) -> list:
 def test_group_is_one_pass_per_dim(monkeypatch, experiment):
     # auto dim from 16 converges at 32 for these weakly squeezed groups,
     # lossless and lossy alike; the Kt axis is unsorted and non-uniform, with
-    # 0 and a repeated value, and from Kt 0.35 on the lossless echo beats the
-    # linear readout, as the fig3 ordering check requires
+    # 0 and a repeated value (sorted and distinct for loss-robustness, which
+    # reads it as a time axis), and from Kt 0.35 on the lossless echo beats
+    # the linear readout, as the fig3 ordering check requires
     monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 16)
     kt = (0.5, 0.0, 0.6, 0.5, 0.35)
+    if experiment == "loss-robustness":
+        kt = tuple(sorted(set(kt)))
     cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.0, 0.1), kt, (0.0, 0.5))
     flags = {"with_k2": True} if experiment == "custom" else {}
     sigma2s = cfg.sigma2 if experiment == "custom" else cfg.sigma2[:1]
@@ -906,6 +915,18 @@ def test_cli_config_errors_are_exit_2(tmp_path, capsys):
     cfg.write_text("experiment = fig2\ndelta = 0\nepsilon = 0\n")
     assert main(["fig2", "--config", str(cfg), "--threads", "0"]) == 2
     capsys.readouterr()  # drain stderr
+
+
+def test_cli_unordered_time_axis_is_exit_2(tmp_path, capsys):
+    # scaling and loss-robustness read neighbouring kt entries as
+    # neighbouring times, so they refuse an axis that is not increasing
+    for name in ("loss-robustness", "scaling"):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("gamma = 0\nkt = 0.3, 0.1, 0.2\n")
+        out = tmp_path / f"{name}.csv"
+        assert main([name, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "kt must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
