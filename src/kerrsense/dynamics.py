@@ -10,17 +10,12 @@ sectors it is a real symmetric tridiagonal matrix.  Unitary evolution goes
 through the exact spectral decomposition of each sector (one tridiagonal
 eigensolve, cached and reused across times) and propagates the even and odd
 rows of a state separately; the vacuum never leaves the even sector.
-Dissipative evolution under the single jump operator sqrt(gamma) * a is the
-exponential of the vectorised Liouvillian applied to a block of vectors.  The
-Liouvillian keeps the same symmetry: it never mixes entries rho_ij whose
-(i + j) parities differ, so it splits into two half-size sparse blocks, and a
-time grid is one chained propagation through its sorted times.  Each block is
-cached with its trace shift and its exact 1-norm, and exp(L t) is applied by
-the truncated Taylor series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011), Alg. 3.2: the degree m and the number of steps s minimise the matvec
-count m * s subject to t ||L - mu I||_1 / s <= theta_m, with theta_m from the
-paper's Table 3.1 for double precision.  (m, s) depend only on t and the
-block, so the propagation estimates no norms and draws no random numbers.
+Dissipative evolution under the jump operator sqrt(gamma) * a applies the
+exponential of the vectorised Liouvillian, which keeps the same symmetry: it
+never mixes entries rho_ij whose (i + j) parities differ, so it splits into
+two half-size sparse blocks.  A time grid is one chained propagation through
+its sorted times, each step one Chebyshev series (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81, 3967 (1984)) of a degree fixed a priori by the step and the block.
 
 The public evolutions (evolve_unitary, evolve_lindblad, evolve_vacuum) put
 their results through fock.check_tail; builders for fock.at_dim use the
@@ -28,6 +23,7 @@ unchecked vacuum_states.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,6 +47,8 @@ from .fock import (
     sparse_annihilation,
     tail_populations,
 )
+
+log = logging.getLogger(__name__)
 
 OPTIMUM_GRID_POINTS = 200  # optimal_squeezing's bracketing scan
 OPTIMUM_SPLIT = 64  # and the times inside its bracket at each shrink
@@ -190,80 +188,87 @@ def liouvillian(dim: int, p: HamiltonianParams, loss: LossParams, reverse: bool 
     return lv.tocsr()
 
 
-# theta_m for the unit roundoff u = 2^-53: the truncated Taylor series of
-# degree m meets backward error u when ||t A / s||_1 <= theta_m
-# (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1).
-TAYLOR_THETA = {
-    5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-TAYLOR_TOL = 2.0**-53
-
-
 @dataclass(frozen=True)
 class LiouvillianBlock:
-    """One parity block L of the Liouvillian, ready for the Taylor propagator:
-    the shifted CSR matrix A = L - mu I with mu = tr(L)/n, and ||A||_1."""
+    """One parity block L of the Liouvillian for the Chebyshev propagator.
+
+    The numerical range of A = L - mu I lies in [-r_re, r_re] x i[-r_im, r_im]
+    with r_re, r_im = ||(A +- A^dag)/2||_inf (r_im = 1 if A = 0); mu centres the
+    Gershgorin intervals of both parts, as off centre the series would build
+    fast-decaying modes from far larger terms.  matrix is X = A / (i r_im); rho is
+    the Bernstein parameter of the ellipse, foci +-1, through w = 1 + i r_re / r_im.
+    """
 
     matrix: sp.csr_matrix
     shift: complex
-    onenorm: float
+    r_re: float
+    r_im: float
+    rho: float
 
     @classmethod
     def from_csr(cls, lv: sp.csr_matrix) -> "LiouvillianBlock":
-        n = lv.shape[0]
-        shift = complex(lv.diagonal().sum()) / n
-        a = (lv - shift * sp.identity(n, dtype=complex, format="csr")).tocsr()
-        return cls(a, shift, float(abs(a).sum(axis=0).max()))
+        shift = 0j
+        for unit, part in ((1.0, lv + lv.conj().T), (1j, (lv - lv.conj().T) * -1j)):
+            d = part.diagonal().real / 2.0
+            radius = np.asarray(abs(part).sum(axis=1)).ravel() / 2.0 - abs(d)
+            shift += unit * ((d - radius).min() + (d + radius).max()) / 2.0
+        a = (lv - shift * sp.identity(lv.shape[0], dtype=complex, format="csr")).tocsr()
+        r_re, r_im = (float(abs(a + s * a.conj().T).sum(axis=1).max()) / 2.0 for s in (1, -1))
+        r_im = r_im or 1.0
+        half_axis = (r_re / r_im + math.hypot(2.0, r_re / r_im)) / 2.0  # (|w - 1| + |w + 1|) / 2
+        rho = half_axis + math.sqrt((half_axis - 1.0) * (half_axis + 1.0))
+        return cls((a * (-1j / r_im)).tocsr(), shift, r_re, r_im, rho)
 
 
-def _taylor_parameters(norm: float) -> tuple[int, int]:
-    """(m, s) = argmin m * s with s = ceil(norm / theta_m), norm = t ||A||_1:
-    eq. (3.11) of Al-Mohy & Higham with every alpha_p bounded by ||A||_1."""
-    return min(
-        ((m, max(1, math.ceil(norm / theta))) for m, theta in TAYLOR_THETA.items()),
-        key=lambda ms: ms[0] * ms[1],
-    )
+def _bessel_j(x: float, n: int, rho: float = 1.0) -> np.ndarray:
+    """rho^k J_k(x) for k = 0..n and x > 0: Miller's backward recurrence from well above
+    n and x, rescaled against overflow and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1."""
+    top = max(n, math.ceil(x))
+    g = [0.0] * (top + 16 + math.isqrt(40 * top)) + [1.0, 0.0]
+    for k in range(len(g) - 2, 0, -1):
+        g[k - 1] = 2.0 * k / (x * rho) * g[k] - g[k + 1] / rho**2
+        if abs(g[k - 1]) > 1e250:
+            g[k - 1 :] = [v * 1e-250 for v in g[k - 1 :]]
+    g = np.array(g[:-1])
+    return g[: n + 1] / (2.0 * np.sum(g[::2] * rho ** -np.arange(0.0, g.size, 2.0)) - g[0])
 
 
-def _column_max(x: np.ndarray) -> np.ndarray:
-    """max |x_ij| of each column of a 2-d block.  Reducing the transposed copy
-    along its contiguous rows is several times faster than max(axis=0)."""
-    return np.abs(x).T.copy().max(axis=1)
+@lru_cache(maxsize=64)
+def _chebyshev_coefficients(z: float, rho: float) -> np.ndarray:
+    """c_0..c_N of exp(i z w) = J_0(z) + 2 sum_k i^k J_k(z) T_k(w).  On the
+    Bernstein ellipse E_rho |T_k| <= rho^k, so by Crouzeix-Palencia, for X with
+    numerical range in E_rho, the truncation error is at most 2 (1 + sqrt 2)
+    sum_(k>N) |J_k(z)| rho^k; N >= 1 is the smallest degree that keeps it below
+    2^-53.  Past M = e z rho / 2 + 64 the terms, at most (z rho / 2)^k / k!,
+    fall by e per index and sum below e^-64."""
+    scaled = _bessel_j(z, math.ceil(math.e * z * rho / 2.0) + 64, rho)
+    tails = np.cumsum(np.abs(scaled[::-1]))[::-1][1:] + math.exp(-64)  # sum_(k>N)
+    n = max(1, int(np.argmax(2.0 * (1.0 + math.sqrt(2.0)) * tails <= 2.0**-53)))
+    k = np.arange(n + 1.0)
+    coeffs = np.where(k, 2.0, 1.0) * 1j ** (k % 4) * scaled[: n + 1] * rho**-k
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _lindblad_apply(lv: LiouvillianBlock, block: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(L t) to one or more vectorised operators (columns of block).
-
-    Al-Mohy & Higham, Alg. 3.2: s steps of exp(A t/s) by its Taylor series of
-    degree at most m, each times exp(mu t/s).  A step stops early once the
-    largest entries of two consecutive terms sum to at most TAYLOR_TOL times
-    the largest entry of the partial sum, in every column.  (m, s) depend
-    only on t ||A||_1, so the result is deterministic.
-    """
-    m, s = _taylor_parameters(t * lv.onenorm)
-    # t/s goes into the matrix once: scaling each term by t/(s j) instead
-    # doubles the round-off on columns that excite the largest rates
-    step = lv.matrix * (t / s)
-    eta = np.exp(lv.shift * t / s)
-    f = np.array(block, dtype=complex).reshape(block.shape[0], -1)
-    for _ in range(s):
-        term = f
-        c1 = bound = _column_max(f)
-        for j in range(1, m + 1):
-            term = step @ term
-            term *= 1.0 / j
-            f += term
-            c2 = _column_max(term)
-            # bound >= max |f| per column (triangle inequality), so max |f|
-            # itself is needed only once the test passes against bound
-            bound = bound + c2
-            if (c1 + c2 <= TAYLOR_TOL * bound).all():
-                bound = _column_max(f)
-                if (c1 + c2 <= TAYLOR_TOL * bound).all():
-                    break
-            c1 = c2
-        f *= eta
+    """Apply exp(L t) = exp(mu t) exp(i r_im t X) to the vectorised operators
+    in the columns of block: the Chebyshev series of _chebyshev_coefficients,
+    summed along T_(k+1) = 2 X T_k - T_(k-1).  Its degree depends on t and the
+    block alone and no term is tested, so the result is deterministic."""
+    coeffs = _chebyshev_coefficients(t * lv.r_im, lv.rho)
+    prev = np.array(block, dtype=complex).reshape(block.shape[0], -1)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("lindblad: block %d rows x %d cols, t %r, r_im %.6g, r_re %.6g, N %d",
+                  *prev.shape, t, lv.r_im, lv.r_re, coeffs.size - 1)
+    two_x = lv.matrix * 2.0  # exact: (2 X) T_k rounds as 2 (X T_k) does
+    cur = 0.5 * (two_x @ prev)
+    f = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        nxt = two_x @ cur
+        nxt -= prev
+        f += c * nxt
+        prev, cur = cur, nxt
+    f *= np.exp(lv.shift * t)
     return f.reshape(block.shape)
 
 
@@ -290,7 +295,7 @@ def liouvillian_blocks(
 
     H and the jump operator a change i + j by 0 or 2 for every entry
     rho_ij, so these two blocks are all of the Liouvillian.  Cached with
-    their trace shift and 1-norm: a time grid and its echo reuse them.
+    their shift and enclosure: a time grid and its echo reuse them.
     """
     lv = liouvillian(dim, p, loss, reverse=reverse)
     if transposed:
@@ -315,34 +320,30 @@ def lindblad_trajectory(
     exp(L dt) per parity block, applied only to the columns that are nonzero
     in that block.  Returns an array of shape (len(times),) + block.shape.
     """
-    times = [float(t) for t in times]
-    if any(t < 0.0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError(f"times must be >= 0 and non-decreasing, got {times!r}")
+    steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+    if not np.all(steps >= 0.0):  # reverse=True, not a negative time, runs the echo
+        raise ValueError(f"times must be >= 0 and non-decreasing, got {list(times)!r}")
     block = np.asarray(block, dtype=complex)
     flat = block.reshape(block.shape[0], -1)
     dim = math.isqrt(flat.shape[0])
-    out = np.zeros((len(times),) + flat.shape, dtype=complex)
+    if dim * dim != flat.shape[0]:
+        raise ValueError(f"block rows must be dim^2 for a dim x dim operator, got {flat.shape[0]}")
+    out = np.zeros((len(steps),) + flat.shape, dtype=complex)
     lv_blocks = liouvillian_blocks(dim, p, loss, reverse, adjoint)
     for idx, lv in zip(_parity_indices(dim), lv_blocks):
         cols = np.flatnonzero(flat[idx].any(axis=0))
         if cols.size == 0:
             continue
         current = flat[np.ix_(idx, cols)]
-        elapsed = 0.0
-        for k, t in enumerate(times):
-            if t > elapsed:
-                current = _lindblad_apply(lv, current, t - elapsed)
-                elapsed = t
+        for k, step in enumerate(steps):
+            if step > 0.0:
+                current = _lindblad_apply(lv, current, float(step))
             out[k][np.ix_(idx, cols)] = current
-    return out.reshape((len(times),) + block.shape)
+    return out.reshape((len(steps),) + block.shape)
 
 
 def _lindblad_states(
-    state: QuantumState,
-    p: HamiltonianParams,
-    loss: LossParams,
-    times,
-    reverse: bool = False,
+    state: QuantumState, p: HamiltonianParams, loss: LossParams, times, reverse: bool = False
 ) -> list[QuantumState]:
     """The state evolved to each of the non-decreasing times in one chained pass."""
     rho0 = state.density_matrix().reshape(-1)
@@ -362,8 +363,6 @@ def evolve_lindblad(
 
     Returns a mixed-kind state; gamma = 0 reproduces the unitary channel.
     """
-    if t < 0:
-        raise ValueError("Lindblad evolution requires t >= 0; use reverse=True for the echo")
     return _checked(_lindblad_states(state, p, loss, [t], reverse=reverse))[0]
 
 

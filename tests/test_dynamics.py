@@ -306,19 +306,14 @@ def _echo_readout_block(dim: int) -> np.ndarray:
     return np.stack([s * r.T.reshape(-1) for s, r in zip(scales, readouts)], axis=1)
 
 
-@pytest.mark.parametrize("dt", [0.1, 0.4])
-@pytest.mark.parametrize("reverse, transposed", [(False, False), (True, True)])
-def test_lindblad_apply_matches_dense_expm_per_column(reverse, transposed, dt):
-    # each parity block against its own dense exponential at the fig3 step
-    # (0.1) and at the snapshot reversal (0.4); a readout that vanishes on a
-    # block must stay exactly zero
-    dim = 24
-    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
-    blocks = dynamics.liouvillian_blocks(dim, p, LossParams(0.1), reverse, transposed)
+def _assert_matches_dense_expm(dim, p, gamma, reverse, transposed, dt):
+    # each parity block against its own dense exponential; a readout that
+    # vanishes on a block must stay exactly zero
+    blocks = dynamics.liouvillian_blocks(dim, p, LossParams(gamma), reverse, transposed)
     readouts = _echo_readout_block(dim)
     for idx, lv in zip(dynamics._parity_indices(dim), blocks):
         block = readouts[idx]
-        dense = lv.matrix.toarray() + lv.shift * np.eye(lv.matrix.shape[0])
+        dense = 1j * lv.r_im * lv.matrix.toarray() + lv.shift * np.eye(lv.matrix.shape[0])
         expected = scipy.linalg.expm(dense * dt) @ block
         got = dynamics._lindblad_apply(lv, block, dt)
         for k in range(block.shape[1]):
@@ -329,32 +324,115 @@ def test_lindblad_apply_matches_dense_expm_per_column(reverse, transposed, dt):
             assert err < 1e-12, (k, err)
 
 
+FIG3_PARAMS = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.4, 1e-6, 0.6])
+@pytest.mark.parametrize("reverse, transposed", [(False, False), (True, True)])
+def test_lindblad_apply_matches_dense_expm_per_column(reverse, transposed, dt):
+    # the fig3 step (0.1), the snapshot reversal (0.4), the longest fig3
+    # step (0.6), and a step of a few terms
+    _assert_matches_dense_expm(24, FIG3_PARAMS, 0.1, reverse, transposed, dt)
+
+
+@pytest.mark.parametrize(
+    "dim, p, gamma, dt",
+    [
+        (24, HamiltonianParams(), 0.1, 0.6),  # free decay, H = 0
+        (24, HamiltonianParams(), 2.0, 0.6),  # free decay: r_re > r_im
+        (24, HamiltonianParams(), 0.0, 0.6),  # A = 0
+        (24, HamiltonianParams(delta=0.3, epsilon=2.0), 2.0, 0.6),  # K = 0
+        (24, FIG3_PARAMS, 0.0, 0.6),  # gamma = 0: a skew-Hermitian block
+        (24, FIG3_PARAMS, 2.0, 0.6),
+        (24, FIG3_PARAMS, 2.0, 1e-6),
+        (32, FIG3_PARAMS, 0.1, 0.6),
+    ],
+)
+@pytest.mark.parametrize("reverse, transposed", [(False, False), (True, True)])
+def test_lindblad_apply_matches_dense_expm_on_edge_blocks(dim, p, gamma, dt, reverse, transposed):
+    _assert_matches_dense_expm(dim, p, gamma, reverse, transposed, dt)
+
+
+def test_liouvillian_block_encloses_its_numerical_range():
+    # W(A) lies in [-r_re, r_re] x i[-r_im, r_im] exactly when the spectra of
+    # the Hermitian parts of A and A/i do; the shift centres the first
+    dim = 12
+    loss = LossParams(0.5)
+    for lv in dynamics.liouvillian_blocks(dim, FIG3_PARAMS, loss, True, True):
+        a = 1j * lv.r_im * lv.matrix.toarray()
+        re = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+        im = np.linalg.eigvalsh((a - a.conj().T) / 2.0j)
+        assert np.all(np.abs(re) <= lv.r_re) and np.all(np.abs(im) <= lv.r_im)
+        assert re[0] < 0.0 < re[-1]
+        w = 1.0 + 1j * lv.r_re / lv.r_im  # corner of the rectangle W(X) lies in
+        half_axis = (abs(w - 1.0) + abs(w + 1.0)) / 2.0
+        assert lv.rho == pytest.approx(half_axis + math.sqrt(half_axis**2 - 1.0))
+
+
+@pytest.mark.parametrize("x", [0.5, 22.6, 226.0, 1300.0])
+def test_bessel_j_matches_scipy(x):
+    # scipy.special stays out of the package (its import costs memory); the
+    # test may use it as the oracle.  Miller's values are the more accurate
+    # ones at x = 1300, where jv errs by ~2e-14.
+    from scipy.special import jv
+
+    k = np.arange(int(x) + 80)
+    np.testing.assert_allclose(dynamics._bessel_j(x, k[-1]), jv(k, x), rtol=0, atol=1e-13)
+    scaled = dynamics._bessel_j(x, k[-1], rho=1.3)
+    np.testing.assert_allclose(scaled / 1.3**k, jv(k, x), rtol=0, atol=1e-13)
+
+
+def test_chebyshev_degree_meets_its_a_priori_bound():
+    # the dim-48 fig3 block over one 0.1 step: about 2/3 of the ~481 terms a
+    # Taylor stepper needs; the bound 2 (1 + sqrt 2) sum_(k>N) |J_k| rho^k
+    # <= 2^-53 holds at the chosen N and fails one degree lower
+    from scipy.special import jv
+
+    for lv in dynamics.liouvillian_blocks(48, FIG3_PARAMS, LossParams(0.1), True, True):
+        z = 0.1 * lv.r_im
+        n = len(dynamics._chebyshev_coefficients(z, lv.rho)) - 1
+        assert n < 330
+        k = np.arange(n - 1, 2 * n)
+        tails = 2.0 * (1.0 + math.sqrt(2.0)) * np.cumsum((np.abs(jv(k, z)) * lv.rho**k)[::-1])[::-1]
+        assert tails[2] <= 2.0**-53 * (1.0 + 1e-9) and tails[1] > 2.0**-53
+
+
 def test_lindblad_apply_is_deterministic():
-    # (m, s) come from t ||A||_1 alone: no norm estimate, no random draws
+    # the degree comes from t and the block alone: no norm estimate, no
+    # random draws, no test of the terms
     dim = 24
-    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
-    even, _ = dynamics.liouvillian_blocks(dim, p, LossParams(0.1), True, True)
+    even, _ = dynamics.liouvillian_blocks(dim, FIG3_PARAMS, LossParams(0.1), True, True)
     block = _echo_readout_block(dim)[dynamics._parity_indices(dim)[0]]
     first = dynamics._lindblad_apply(even, block, 0.4)
     np.testing.assert_array_equal(dynamics._lindblad_apply(even, block, 0.4), first)
 
 
-def test_taylor_parameters_minimise_matvecs():
-    # t ||A||_1 of a dim-48 fig3 block over one 0.1 step: degree 55, 23 steps
-    assert dynamics._taylor_parameters(226.4) == (55, 23)
-    assert dynamics._taylor_parameters(0.0) == (5, 1)
-    for norm in (1e-3, 0.5, 3.0, 40.0, 1e4):
-        m, s = dynamics._taylor_parameters(norm)
-        assert norm / s <= dynamics.TAYLOR_THETA[m]
-        assert all(
-            m * s <= mm * math.ceil(norm / theta) for mm, theta in dynamics.TAYLOR_THETA.items()
-        )
+def test_lindblad_apply_logs_its_work(caplog):
+    rho = QuantumState.vacuum(8).density_matrix().reshape(-1)
+    with caplog.at_level(logging.DEBUG, logger="kerrsense"):
+        dynamics.lindblad_trajectory(rho, FIG3_PARAMS, LossParams(0.1), [0.1, 0.1, 0.3])
+    messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.dynamics"]
+    # the vacuum lives on the even block only; the repeated time is no step
+    assert len(messages) == 2
+    for message, t in zip(messages, ("0.1", "0.19999999999999998")):
+        assert re.fullmatch(
+            rf"lindblad: block 32 rows x 1 cols, t {t}, r_im \S+, r_re \S+, N \d+", message
+        ), message
+
+
+def test_lindblad_trajectory_rejects_non_square_rows():
+    # 10 rows are no dim x dim operator; they used to lose their last entry
+    with pytest.raises(ValueError, match="dim"):
+        dynamics.lindblad_trajectory(np.ones(10), FIG3_PARAMS, LossParams(0.1), [0.1])
 
 
 def test_lindblad_trajectory_rejects_unsorted_times():
     rho = QuantumState.vacuum(8).density_matrix().reshape(-1)
     with pytest.raises(ValueError):
         dynamics.lindblad_trajectory(rho, HamiltonianParams(), LossParams(0.1), [0.2, 0.1])
+    # a NaN time is no time: it must not pass for a step of zero length
+    with pytest.raises(ValueError):
+        dynamics.lindblad_trajectory(rho, HamiltonianParams(), LossParams(0.1), [0.1, math.nan])
 
 
 def test_lindblad_free_decay():

@@ -955,3 +955,32 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_lossy_cli_run_leaves_scipy_special_unloaded(tmp_path):
+    # the Chebyshev propagator computes its own Bessel values: importing
+    # scipy.special would add its memory to every lossy run
+    (tmp_path / "lossy.cfg").write_text("gamma = 0.1\nkt = 0.2\n")
+    code = (
+        "import sys; from kerrsense.cli import main; "
+        "rc = main(['fig3', '--config', 'lossy.cfg', '--dim', '16', '--out', 'f.csv']); "
+        "print(rc, 'scipy.special' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_lindblad_debug_log_leaves_the_csv_bytes(tmp_path, caplog):
+    cfg = tmp_path / "lossy.cfg"
+    cfg.write_text("gamma = 0.1\nkt = 0.2\n")
+    quiet, logged = tmp_path / "quiet.csv", tmp_path / "logged.csv"
+    assert main(["fig3", "--config", str(cfg), "--dim", "32", "--out", str(quiet)]) == 0
+    with caplog.at_level(logging.DEBUG, logger="kerrsense"):
+        assert main(["fig3", "--config", str(cfg), "--dim", "32", "--out", str(logged)]) == 0
+    assert any(r.msg.startswith("lindblad: block") for r in caplog.records)
+    assert logged.read_bytes() == quiet.read_bytes()
