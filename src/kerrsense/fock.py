@@ -311,7 +311,7 @@ def check_tail(tail: float) -> None:
 
 def normalized_kets(kets: np.ndarray) -> np.ndarray:
     """The columns of a block of kets, checked as from_ket does and normalised."""
-    if not np.all(np.isfinite(kets)):
+    if not np.isfinite(kets).all():
         raise ValueError("state vector has non-finite entries")
     norms = np.linalg.norm(kets, axis=0)
     worst = norms[np.argmax(np.abs(norms - 1.0))]
@@ -420,9 +420,9 @@ def ket_ladder_moments(psi: np.ndarray):
     n = np.arange(psi.shape[0], dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
     sq1 = np.sqrt(n[1:])
     sq2 = np.sqrt(n[2:] * (n[2:] - 1.0))
-    ma = np.sum(sq1 * np.conj(psi[:-1]) * psi[1:], axis=0)
-    ma2 = np.sum(sq2 * np.conj(psi[:-2]) * psi[2:], axis=0)
-    mn = np.sum(n * np.abs(psi) ** 2, axis=0)
+    ma = (sq1 * psi[:-1].conj() * psi[1:]).sum(axis=0)
+    ma2 = (sq2 * psi[:-2].conj() * psi[2:]).sum(axis=0)
+    mn = (n * np.abs(psi) ** 2).sum(axis=0)
     return ma, ma2, mn
 
 
@@ -445,8 +445,10 @@ def covariance_from_moments(ma, ma2, mn) -> np.ndarray:
     mean_p = math.sqrt(2.0) * np.imag(ma)
     var_x = 0.5 + mn + np.real(ma2) - mean_x * mean_x
     var_p = 0.5 + mn - np.real(ma2) - mean_p * mean_p
-    cov_xp = np.imag(ma2) - mean_x * mean_p
-    return np.moveaxis(np.array([[var_x, cov_xp], [cov_xp, var_p]]), (0, 1), (-2, -1))
+    cov = np.empty(np.shape(var_x) + (2, 2))
+    cov[..., 0, 0], cov[..., 1, 1] = var_x, var_p
+    cov[..., 0, 1] = cov[..., 1, 0] = np.imag(ma2) - mean_x * mean_p
+    return cov
 
 
 def quadrature_covariance(state: QuantumState) -> np.ndarray:

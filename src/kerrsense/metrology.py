@@ -15,7 +15,9 @@ a Rayleigh quotient |c m|^2 / (m^T Gamma m) with response c and covariance
 Gamma. The method of moments (observables of polynomial order k) and the
 echo (quadratures after the reversal) are both this quotient, and both are
 solved by best_readout as the top eigenpair of the pencil (c^T c, Gamma) on
-the range of Gamma; every such eigenproblem is one np.linalg.eigh call.
+the range of Gamma. Its two eigenproblems call LAPACK dsyevd directly
+(_eigh): the driver behind np.linalg.eigh, without numpy's dispatch. The
+QFI's small eigenproblems still call np.linalg.eigh.
 
 Without loss the echo is perfect: the state psi = U_t|0> prepared for time t
 and reversed for the same time returns to |0> exactly, so the readout
@@ -31,9 +33,10 @@ order-2 bases are its leading blocks. A state enters, here as in fock,
 through its one entry QuantumState.factor, a square-root factor W with
 rho = W W^dag (a ket is one column; a density matrix gives V sqrt(lambda)
 from its eigendecomposition), so every <M_i M_j> table is one sparse
-product of the stack with W followed by a small Gram matrix, for pure and
-mixed states alike. The mixed-state QFI and the echo's kicks -i[G, rho]
-take X and P from the same stack. A basis is selected by its order alone;
+product of W with the stack's leading blocks (a cached row slice per
+order) followed by a small Gram matrix, for pure and mixed states alike.
+The mixed-state QFI and the echo's kicks -i[G, rho] take X and P from the
+same stack. A basis is selected by its order alone;
 moment_basis densifies the leading blocks, uncached, for callers that want
 Operators, and no figure calls it.
 """
@@ -45,6 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dsyevd
 
 from . import dynamics, fock
 from .fock import (
@@ -253,17 +257,27 @@ def _moment_matrices(dim: int) -> sp.csr_matrix:
     return stack
 
 
+@lru_cache(maxsize=32)
+def _leading_blocks(dim: int, count: int) -> sp.csr_matrix:
+    """The first count row blocks of _moment_matrices(dim), read-only."""
+    stack = _moment_matrices(dim)[: count * dim]
+    for arr in (stack.data, stack.indices, stack.indptr):
+        arr.setflags(write=False)
+    return stack
+
+
 def _basis_products(w: np.ndarray, count: int) -> np.ndarray:
-    """M_k w for the first count basis operators, shape (count, dim, w columns)."""
+    """M_k w for the first count basis operators, shape (count, dim, w columns),
+    from one sparse product with only those count blocks of the stack."""
     dim = w.shape[0]
-    return (_moment_matrices(dim) @ w)[: count * dim].reshape(count, dim, -1)
+    return (_leading_blocks(dim, count) @ w).reshape(count, dim, -1)
 
 
 def moment_basis(dim: int, order: int) -> tuple[Operator, ...]:
     """Basis (X, P | X^2, P^2, sym XP | X^3, P^3, sym XPP, sym PXX) of length
     2/5/9, as dense Operators; the figures use the sparse stack instead."""
     count = _basis_length(order)
-    blocks = _moment_matrices(check_dim(dim))[: count * dim].toarray()
+    blocks = _leading_blocks(check_dim(dim), count).toarray()
     return tuple(Operator(b, hermitian=True) for b in blocks.reshape(count, dim, dim))
 
 
@@ -282,8 +296,18 @@ def moment_matrices(state: QuantumState, order: int) -> tuple[np.ndarray, np.nda
     mw = _basis_products(w, count).reshape(count, -1)
     means = (mw @ w.conj().reshape(-1)).real
     prod = mw.conj() @ mw.T
-    gamma = prod.real - np.outer(means, means)
+    gamma = prod.real - means[:, None] * means
     return 2.0 * prod[:2].imag, (gamma + gamma.T) / 2.0
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a) of one real symmetric matrix, from LAPACK dsyevd on
+    its lower triangle, called directly: the driver numpy calls, without its
+    per-call dispatch."""
+    lam, u, info = dsyevd(a, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolve failed (LAPACK dsyevd info {info})")
+    return lam, u
 
 
 def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
@@ -301,15 +325,18 @@ def best_readout(c: np.ndarray, gamma: np.ndarray) -> SensitivityReport:
     """
     var = gamma.diagonal()
     keep = var > DEGENERATE_VARIANCE
-    s = 1.0 / np.sqrt(var[keep])
-    scaled = gamma[keep][:, keep] * (s[:, None] * s)
-    lam, u = np.linalg.eigh(scaled)
+    if not keep.all():  # else gamma and c enter as they are, uncopied
+        var, gamma, c = var[keep], gamma[keep][:, keep], c[:, keep]
+    s = 1.0 / np.sqrt(var)
+    lam, u = _eigh(gamma * (s[:, None] * s))
     in_range = lam > GAMMA_RANGE_RTOL * lam.max(initial=0.0)
-    whiten = s[:, None] * (u[:, in_range] / np.sqrt(lam[in_range]))
-    b = c[:, keep] @ whiten
-    evals, evecs = np.linalg.eigh(b @ b.T)
+    if not in_range.all():
+        lam, u = lam[in_range], u[:, in_range]
+    whiten = s[:, None] * (u / np.sqrt(lam))
+    b = c @ whiten
+    evals, evecs = _eigh(b @ b.T)
     n_opt = evecs[:, 1]
-    m_opt = np.zeros(len(var))
+    m_opt = np.zeros(keep.size)
     m_opt[keep] = whiten @ (b.T @ n_opt)
     norm = math.sqrt(m_opt @ m_opt)
     if norm > 0:

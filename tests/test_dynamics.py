@@ -1,5 +1,6 @@
 """Closed and open evolution, squeezing figures, and their analytic oracles."""
 
+import cmath
 import logging
 import math
 import re
@@ -87,6 +88,36 @@ def test_eigensystem_is_cached():
     assert eigensystem(41, p) is eigensystem(41, p, 0)
     with pytest.raises(ValueError):
         eigensystem(41, p, 2)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize(
+    "dim, p",
+    [
+        (2, HamiltonianParams(delta=0.7, epsilon=1.3, kerr=0.4)),  # 1-level sectors
+        (3, HamiltonianParams(delta=0.7, epsilon=1.3, kerr=0.4)),  # odd: 1 level
+        (48, HamiltonianParams(delta=1.3, epsilon=2.1, kerr=1.0)),
+        (80, HamiltonianParams(delta=-9.6, epsilon=4.9, kerr=1.0)),
+        (960, HamiltonianParams(epsilon=2.0)),  # fig1's K = 0 trace
+    ],
+)
+def test_eigensystem_is_eigh_tridiagonal_bit_for_bit(dim, p, parity):
+    # LAPACK dstevd, called directly, is the driver eigh_tridiagonal picks for
+    # all eigenpairs; a 1-level sector is that wrapper's quick exit
+    h = hamiltonian(dim, p).matrix.real
+    expected = scipy.linalg.eigh_tridiagonal(np.diag(h)[parity::2], np.diag(h, 2)[parity::2])
+    evals, evecs = eigensystem(dim, p, parity)
+    assert np.array_equal(evals, expected[0]) and np.array_equal(evecs, expected[1])
+    assert not evals.flags.writeable and not evecs.flags.writeable
+
+
+def test_eigensystem_raises_when_lapack_fails(monkeypatch):
+    def failed(d, e):
+        return d, np.eye(d.size), 3
+
+    monkeypatch.setattr(dynamics, "dstevd", failed)
+    with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+        dynamics._eigensystem.__wrapped__(8, 0.3, 0.2, 0.1, 0)
 
 
 SECTOR_DIM = 64
@@ -416,8 +447,50 @@ def test_lindblad_apply_logs_its_work(caplog):
     assert len(messages) == 2
     for message, t in zip(messages, ("0.1", "0.19999999999999998")):
         assert re.fullmatch(
-            rf"lindblad: block 32 rows x 1 cols, t {t}, r_im \S+, r_re \S+, N \d+", message
+            rf"lindblad: block 32 rows x 1 cols, t {t}, r_im \S+, r_re \S+, N \d+, S 1", message
         ), message
+
+
+def _milburn_holmes(alpha, delta, kerr, gamma, t):
+    # <a(t)> and <a^dag a(t)> of a coherent state under H = delta n - K n(n - 1)
+    # and loss gamma (Milburn & Holmes, PRL 56, 2237 (1986)); with epsilon = 0
+    # no population climbs, so the truncated evolution is exact
+    b = cmath.exp((2j * kerr - gamma) * t)
+    exponent = (-1j * delta - gamma / 2.0) * t + abs(alpha) ** 2 * (b - 1.0) * 2j * kerr / (
+        2j * kerr - gamma
+    )
+    return alpha * cmath.exp(exponent), abs(alpha) ** 2 * math.exp(-gamma * t)
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["schrodinger", "heisenberg"])
+@pytest.mark.parametrize(
+    "dim, alpha, delta, kerr, gamma, t",
+    [
+        (48, 1j, 1.0, 2.0, 3.0, 0.8),
+        (64, 2.0, 0.0, 1.0, 1.0, 0.35),
+        (80, 1.5 + 0.5j, 0.7, 1.0, 1.0, 0.35),
+        (96, 2.5, -0.3, 0.5, 0.2, 1.0),
+        (128, 2.0, 0.0, 1.0, 1.0, 0.35),
+    ],
+)
+def test_lossy_kerr_coherent_state_matches_closed_form(dim, alpha, delta, kerr, gamma, t, adjoint):
+    # the edge coherences of a coherent state under Kerr and strong loss are
+    # where one long Chebyshev series loses its accuracy to round-off: each
+    # step is split into substeps a priori, in both pictures
+    p, loss = HamiltonianParams(delta=delta, kerr=kerr), LossParams(gamma)
+    state = QuantumState.coherent(dim, alpha)
+    a = fock.sparse_annihilation(dim)
+    readouts = (a, a.conj().T @ a)
+    if adjoint:  # Tr[A exp(L t)(rho)] = (exp(L^T t) vec(A^T))^T vec(rho)
+        block = np.stack([r.T.toarray().reshape(-1) for r in readouts], axis=1)
+        evolved = dynamics.lindblad_trajectory(block, p, loss, [t], adjoint=True)[0]
+        mean_a, n_mean = state.density_matrix().reshape(-1) @ evolved
+    else:
+        rho = evolve_lindblad(state, p, loss, t).density_matrix()
+        mean_a, n_mean = (np.sum(r.toarray().T * rho) for r in readouts)
+    expected_a, expected_n = _milburn_holmes(alpha, delta, kerr, gamma, t)
+    assert abs(mean_a - expected_a) <= 1e-12 * abs(expected_a)
+    assert abs(n_mean - expected_n) <= 1e-12 * expected_n
 
 
 def test_lindblad_trajectory_rejects_non_square_rows():

@@ -282,6 +282,7 @@ def test_lossless_rows_use_no_dense_ladder_or_basis(monkeypatch):
         raise AssertionError("dense ladder or basis matrix built")
 
     metrology._moment_matrices.cache_clear()
+    metrology._leading_blocks.cache_clear()
     monkeypatch.setattr(fock, "annihilation", dense)
     monkeypatch.setattr(metrology, "moment_basis", dense)
     row = evaluate_point(0.0, 2.0, 1.0, 0.0, 0.4, with_k2=True, with_k3=True)

@@ -383,6 +383,79 @@ def test_moment_figures_leave_the_dense_basis_unbuilt(monkeypatch):
             moment_sensitivity(state, order)
 
 
+def _pinv_readout_value(c, gamma):
+    # top eigenvalue of c Gamma^+ c^T on the entries whose variance is above
+    # DEGENERATE_VARIANCE; 0 when none is
+    keep = gamma.diagonal() > metrology.DEGENERATE_VARIANCE
+    if not keep.any():
+        return 0.0
+    pinv = np.linalg.pinv(gamma[np.ix_(keep, keep)], rcond=1e-10, hermitian=True)
+    return np.linalg.eigvalsh(c[:, keep] @ pinv @ c[:, keep].T)[-1]
+
+
+def _readout_case(n: int, rank: int, seed: int):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, rank)) * np.logspace(0, -3, rank)
+    gamma = b @ b.T + (1e-3 * np.eye(n) if rank == n else 0.0)
+    # a response in the range of Gamma, where c Gamma^+ c^T is the supremum
+    c = rng.normal(size=(2, n)) @ gamma
+    return c, gamma
+
+
+@pytest.mark.parametrize("n, rank", [(9, 9), (5, 5), (9, 4), (5, 2)])
+def test_best_readout_matches_pseudo_inverse_oracle(n, rank):
+    # full rank: Gamma and c enter uncopied; rank deficient: the equilibrated
+    # eigenvalues below GAMMA_RANGE_RTOL of the largest are left out
+    for seed in range(3):
+        c, gamma = _readout_case(n, rank, seed)
+        report = metrology.best_readout(c, gamma)
+        expected = _pinv_readout_value(c, gamma)
+        assert report.value == pytest.approx(expected, rel=1e-9)
+        m = report.m_opt
+        assert (c @ m) @ (c @ m) / (m @ gamma @ m) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_eigh_reads_the_lower_triangle_like_numpy(n):
+    # LAPACK dsyevd on the lower triangle, called directly, as np.linalg.eigh does
+    a = np.random.default_rng(n).normal(size=(n, n))
+    lam, u = metrology._eigh(np.tril(a) + np.tril(a, -1).T + np.triu(a, 1))
+    expected = np.linalg.eigh(np.tril(a) + np.tril(a, -1).T)
+    np.testing.assert_allclose(lam, expected[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.abs(u), np.abs(expected[1]), rtol=0, atol=1e-12)
+
+
+def test_eigh_raises_when_lapack_fails(monkeypatch):
+    monkeypatch.setattr(metrology, "dsyevd", lambda a, lower: (a[0], a, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+        metrology._eigh(np.eye(3))
+
+
+def test_best_readout_drops_degenerate_entries():
+    # an entry of variance <= DEGENERATE_VARIANCE is dropped: the value and
+    # directions are those of the remaining entries, to the bit, and the
+    # dropped entry gets no weight
+    c, gamma = _readout_case(5, 5, seed=11)
+    keep = np.array([True, True, False, True, True])
+    for variance in (0.0, metrology.DEGENERATE_VARIANCE):
+        padded = gamma.copy()
+        padded[~keep, :] = padded[:, ~keep] = 0.0
+        padded[~keep, ~keep] = variance
+        report = metrology.best_readout(c, padded)
+        reduced = metrology.best_readout(c[:, keep], gamma[np.ix_(keep, keep)])
+        assert report.value == reduced.value == pytest.approx(_pinv_readout_value(c, padded))
+        assert np.array_equal(report.n_opt, reduced.n_opt)
+        assert np.array_equal(report.m_opt[keep], reduced.m_opt) and report.m_opt[2] == 0.0
+
+
+def test_best_readout_of_all_degenerate_entries_is_zero():
+    c = np.ones((2, 3))
+    for gamma in (np.zeros((3, 3)), np.diag([1e-14, 0.0, 1e-15])):
+        report = metrology.best_readout(c, gamma)
+        assert report.value == 0.0 == _pinv_readout_value(c, gamma)
+        assert not report.m_opt.any()
+
+
 def test_moment_report_directions():
     state = kerr_state(60, delta=0.0, eps=2.0, kt=0.3)
     rep = moment_sensitivity(state, 1)
