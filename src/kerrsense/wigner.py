@@ -1,22 +1,19 @@
 """Wigner function on a rectangular phase-space grid.
 
 W is normalized so that the Riemann sum over dx dp is 1, the vacuum peaks at
-1/pi, and pi * W(0, 0) equals the parity expectation <Pi>.  With
-alpha = (x + i p)/sqrt(2), r = 4|alpha|^2 and theta = arg(alpha) it is the
-Laguerre series of Cahill & Glauber, Phys. Rev. 177, 1857 (1969),
+1/pi, and pi * W(0, 0) equals the parity expectation <Pi>.  It is evaluated in
+the separable Hermite form of W = (1/pi) int dy <x+y|rho|x-y> e^{-2ipy},
 
-    W = (1/pi) [ sum_n (-1)^n rho_nn f^0_n(r)
-                 + 2 Re sum_{k>=1} e^{ik theta} sum_n (-1)^n rho_{n,n+k} f^k_n(r) ],
+    W(x, p) = (1/sqrt(pi)) sum_{k,l} C_kl phi_k(sqrt2 x) phi_l(sqrt2 p),
+    C_kl = (-i)^l sum_{m+n=k+l} rho_mn <k, l| B |m, n>,
 
-    f^k_n(r) = sqrt(n!/(n+k)!) r^{k/2} e^{-r/2} L^k_n(r),
-
-which is exact for the state as given: no padding of the truncated space
-(the same series as QuTiP's wigner(method="clenshaw")).  The normalized
-Laguerre functions depend only on |alpha|, so they are run once per distinct
-radius of the grid, by the recurrence over n for all k at once; the k series
-is then summed by Horner's rule in e^{i theta} over the grid.  Pure and mixed
-states share the one path.  Top Fock levels that cannot move W by more than
-TRIM_TOL are dropped first.
+with phi_k the Hermite functions and B the 50:50 beam splitter a1^dag ->
+(a1^dag + a2^dag)/sqrt2, a2^dag -> (a1^dag - a2^dag)/sqrt2: in sqrt2 x and
+sqrt2 y, phi_m(x+y) phi_n(x-y) is the wavefunction of B|m, n>, and phi_l is an
+eigenfunction of the Fourier transform with eigenvalue (-i)^l.  It is exact for
+the state as given (no padding), C is real, and W on the grid is two Hermite
+tables and one matrix product.  Top Fock levels that cannot move W by more
+than TRIM_TOL are dropped first.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ BOUNDARY_TOL = 1e-4
 
 # Fock levels are dropped from the top while the bound on the change this
 # makes to W, (2/pi) (sum_n sqrt(p_n)) (sum_{m >= L} sqrt(p_m)), is at most
-# this; it holds because |f^k_n| <= 1 and |rho_mn| <= sqrt(p_m p_n).
+# this; it holds because |W of |m><n|| = |<n|D Pi D^dag|m>|/pi <= 1/pi.
 TRIM_TOL = 1e-14
 
 
@@ -95,43 +92,61 @@ class PhaseGrid:
 DEFAULT_GRID = PhaseGrid()
 
 
-def _diagonal_sums(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """s[k] = sum_n (-1)^n rho_{n,n+k} f^k_n(r) at each radius in r.
+def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
+    """phi[n] = phi_n(x) for n < count, by the normalized Hermite-function
+    recurrence, which is stable in the classically allowed region."""
+    phi = np.empty((count, x.size))
+    phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if count > 1:
+        phi[1] = np.sqrt(2.0) * x * phi[0]
+    for n in range(2, count):
+        phi[n] = x * np.sqrt(2.0 / n) * phi[n - 1] - np.sqrt((n - 1) / n) * phi[n - 2]
+    return phi
 
-    Diagonals k above the last one holding a nonzero element are left out.
+
+def _beam_splitter_blocks(dim: int):
+    """Yield (n, lo, b), b[k, j] = <k, n-k| B |lo+j, n-lo-j> for j <= n//2 - lo.
+
+    lo is the least m with n - m < dim; the columns m > n//2 are mirror images
+    (swapping the inputs flips the sign of the odd-l rows).  They are built one
+    photon at a time: (n+1) B|m, n+1-m> = sqrt(m) A^dag B|m-1, n+1-m>
+    + sqrt(n+1-m) Abar^dag B|m, n-m>, A^dag, Abar^dag = (a1^dag +- a2^dag)/sqrt2,
+    as a1^dag a1 + a2^dag a2 = n+1.  (The one-sided B|m+1, n> = A^dag B|m, n>
+    / sqrt(m+1) loses all accuracy at large dim.)
     """
-    dim = rho.shape[0]
-    rows, cols = np.nonzero(np.triu(rho))
-    bands = int((cols - rows).max()) + 1 if rows.size else 1
-    k = np.arange(bands)[:, None]
-    # f^k_0 = r^{k/2} e^{-r/2} / sqrt(k!), in log space: r^{k/2} overflows.
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, bands)))))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.where(k > 0, 0.5 * k * np.log(r), 0.0) - 0.5 * r - 0.5 * log_fact
-    f = np.exp(log_f)
-    f_prev = np.zeros_like(f)
-    s = np.zeros((bands, r.size), dtype=complex)
-    for n in range(dim):
-        m = min(bands, dim - n)  # diagonals k that row n reaches
-        f, f_prev, kk = f[:m], f_prev[:m], k[:m]
-        s[:m] += ((-1.0) ** n * rho[n, n : n + m])[:, None] * f
-        f, f_prev = (
-            ((2 * n + 1) + kk - r) * f - np.sqrt(n * (n + kk)) * f_prev
-        ) / np.sqrt((n + 1) * (n + 1 + kk)), f
-    return s
+    root = np.sqrt(np.arange(2.0 * dim))
+    block = np.array([[0.0, 1.0, 0.0]])  # columns lo-1 (zero) .. n//2 + 1 (mirror)
+    lo = 0
+    for n in range(2 * dim - 1):
+        yield n, lo, block[:, 1:-1]
+        shift = int(n + 2 > dim)  # the next block starts at column lo + shift
+        m = np.arange(lo + shift, (n + 1) // 2 + 1)
+        scale = np.sqrt(2.0) * (n + 1)
+        a = block[:, m - lo] * (root[m] / scale)
+        b = block[:, m - lo + 1] * (root[n + 1 - m] / scale)
+        block = np.zeros((n + 2, m.size + 2))
+        block[:-1, 1:-1] = root[n + 1 : 0 : -1, None] * (a - b)
+        block[1:, 1:-1] += root[1 : n + 2, None] * (a + b)
+        lo += shift
+        block[:, -1] = (-1.0) ** (n + 1 - np.arange(n + 2)) * block[:, n + 1 - (n + 1) // 2 - lo]
 
 
-def _laguerre_series(rho: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """W on the grid from the density matrix rho, without any trimming."""
-    x = grid.x_values[:, None]
-    p = grid.p_values[None, :]
-    radius2, where = np.unique((x * x + p * p).ravel(), return_inverse=True)
-    s = _diagonal_sums(rho, 2.0 * radius2)
-    z = np.exp(1j * np.arctan2(p, x)).ravel()
-    acc = np.zeros(z.size, dtype=complex)
-    for k in range(s.shape[0] - 1, 0, -1):
-        acc = (acc + s[k, where]) * z
-    return ((s[0, where].real + 2.0 * acc.real) / np.pi).reshape(grid.nx, grid.np)
+def _untrimmed_wigner(rho: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """W on the grid from the density matrix rho, without any trimming.
+
+    By the mirror symmetry of B, Hermitian rho gives C_kl = (-1)^(l//2) sum_{m<=n}
+    (2 - [m = n]) <k, l|B|m, n> times Re rho_mn for even l, Im rho_mn for odd l.
+    """
+    size = 2 * rho.shape[0] - 1
+    c = np.zeros((size, size))
+    for n, lo, b in _beam_splitter_blocks(rho.shape[0]):
+        m, k = np.arange(lo, lo + b.shape[1]), np.arange(n + 1)
+        v = np.where(2 * m == n, 1.0, 2.0) * rho[m, n - m]
+        c[k, n - k] = np.where((n - k) % 2, b @ v.imag, b @ v.real)
+    phi_x = _hermite_functions(size, np.sqrt(2.0) * grid.x_values)
+    phi_p = _hermite_functions(size, np.sqrt(2.0) * grid.p_values)
+    phi_p *= (-1.0) ** (np.arange(size) // 2)[:, None]
+    return phi_x.T @ (c @ phi_p) / np.sqrt(np.pi)
 
 
 def wigner(state: QuantumState, grid: PhaseGrid = DEFAULT_GRID) -> np.ndarray:
@@ -142,14 +157,8 @@ def wigner(state: QuantumState, grid: PhaseGrid = DEFAULT_GRID) -> np.ndarray:
     exceeds BOUNDARY_TOL, since a clipped grid breaks normalization checks.
     """
     dim = _trimmed_dim(state.populations())
-    w = _laguerre_series(state.density_matrix()[:dim, :dim], grid)
-
-    edge = max(
-        np.abs(w[0, :]).max(),
-        np.abs(w[-1, :]).max(),
-        np.abs(w[:, 0]).max(),
-        np.abs(w[:, -1]).max(),
-    )
+    w = _untrimmed_wigner(state.density_matrix()[:dim, :dim], grid)
+    edge = max(np.abs(w[[0, -1], :]).max(), np.abs(w[:, [0, -1]]).max())
     if edge > BOUNDARY_TOL:
         warnings.warn(
             f"Wigner boundary magnitude {edge:.2e} exceeds {BOUNDARY_TOL:.0e}; "
@@ -166,17 +175,8 @@ def parity_expectation(state: QuantumState) -> float:
 
 
 def position_distribution(state: QuantumState, x: np.ndarray) -> np.ndarray:
-    """Probability density of the X quadrature at the given points.
-
-    Uses the normalized Hermite-function recurrence, which is stable in the
-    classically allowed region; matches the p-integrated Wigner marginal.
-    With the state's factor W the density is sum_k |phi^T W|^2.
-    """
-    x = np.asarray(x, dtype=float)
-    dim = state.dim
-    phi = np.empty((dim, x.size))
-    phi[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    phi[1] = np.sqrt(2.0) * x * phi[0]
-    for n in range(2, dim):
-        phi[n] = x * np.sqrt(2.0 / n) * phi[n - 1] - np.sqrt((n - 1) / n) * phi[n - 2]
+    """Probability density of the X quadrature at the given points; matches
+    the p-integrated Wigner marginal.  With the state's factor W (not the
+    Wigner function) the density is sum_k |phi^T W|^2."""
+    phi = _hermite_functions(state.dim, np.asarray(x, dtype=float))
     return np.sum(np.abs(phi.T @ state.factor()) ** 2, axis=1)

@@ -1,4 +1,10 @@
-"""Laguerre-series Wigner evaluation against closed forms and dense oracles."""
+"""Wigner evaluation against closed forms, dense oracles and the Laguerre series.
+
+The package evaluates W in the separable Hermite form; the Laguerre series of
+Cahill & Glauber below is an independent oracle for it.  The level trim is
+checked against its bound: W of |m><n| is <n|D Pi D^dag|m>/pi, so
+|W of |m><n|| <= 1/pi.
+"""
 
 import math
 import warnings
@@ -8,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from kerrsense import fock, gaussian
+from kerrsense import fock, gaussian, harness
 from kerrsense.dynamics import HamiltonianParams, LossParams, evolve_lindblad, evolve_unitary
 from kerrsense.fock import QuantumState
 from kerrsense.harness import SNAPSHOT_GRID
@@ -17,8 +23,9 @@ from kerrsense.wigner import (
     TRIM_TOL,
     GridCoverageWarning,
     PhaseGrid,
-    _laguerre_series,
+    _beam_splitter_blocks,
     _trimmed_dim,
+    _untrimmed_wigner,
     parity_expectation,
     position_distribution,
     wigner,
@@ -28,6 +35,57 @@ from kerrsense.wigner import (
 SNAPSHOT_SUBGRID = PhaseGrid(
     x_range=SNAPSHOT_GRID.x_range, p_range=SNAPSHOT_GRID.p_range, nx=21, np=21
 )
+
+
+def laguerre_diagonal_sums(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """s[k] = sum_n (-1)^n rho_{n,n+k} f^k_n(r) at each radius in r.
+
+    Diagonals k above the last one holding a nonzero element are left out.
+    """
+    dim = rho.shape[0]
+    rows, cols = np.nonzero(np.triu(rho))
+    bands = int((cols - rows).max()) + 1 if rows.size else 1
+    k = np.arange(bands)[:, None]
+    # f^k_0 = r^{k/2} e^{-r/2} / sqrt(k!), in log space: r^{k/2} overflows.
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, bands)))))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = np.where(k > 0, 0.5 * k * np.log(r), 0.0) - 0.5 * r - 0.5 * log_fact
+    f = np.exp(log_f)
+    f_prev = np.zeros_like(f)
+    s = np.zeros((bands, r.size), dtype=complex)
+    for n in range(dim):
+        m = min(bands, dim - n)  # diagonals k that row n reaches
+        f, f_prev, kk = f[:m], f_prev[:m], k[:m]
+        s[:m] += ((-1.0) ** n * rho[n, n : n + m])[:, None] * f
+        f, f_prev = (
+            ((2 * n + 1) + kk - r) * f - np.sqrt(n * (n + kk)) * f_prev
+        ) / np.sqrt((n + 1) * (n + 1 + kk)), f
+    return s
+
+
+def laguerre_wigner(rho: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """Oracle: the Laguerre series of Cahill & Glauber, Phys. Rev. 177, 1857 (1969).
+
+    With alpha = (x + i p)/sqrt(2), r = 4|alpha|^2 and theta = arg(alpha),
+
+        W = (1/pi) [ sum_n (-1)^n rho_nn f^0_n(r)
+                     + 2 Re sum_{k>=1} e^{ik theta} sum_n (-1)^n rho_{n,n+k} f^k_n(r) ],
+        f^k_n(r) = sqrt(n!/(n+k)!) r^{k/2} e^{-r/2} L^k_n(r),
+
+    the same series as QuTiP's wigner(method="clenshaw").  The normalized
+    Laguerre functions are run once per distinct radius of the grid by the
+    recurrence over n, and the k series is summed by Horner's rule in
+    e^{i theta}.
+    """
+    x = grid.x_values[:, None]
+    p = grid.p_values[None, :]
+    radius2, where = np.unique((x * x + p * p).ravel(), return_inverse=True)
+    s = laguerre_diagonal_sums(rho, 2.0 * radius2)
+    z = np.exp(1j * np.arctan2(p, x)).ravel()
+    acc = np.zeros(z.size, dtype=complex)
+    for k in range(s.shape[0] - 1, 0, -1):
+        acc = (acc + s[k, where]) * z
+    return ((s[0, where].real + 2.0 * acc.real) / np.pi).reshape(grid.nx, grid.np)
 
 
 def riemann_sum(w: np.ndarray, grid: PhaseGrid) -> float:
@@ -222,6 +280,72 @@ def test_position_distribution_vacuum_gaussian():
 
 
 # ---------------------------------------------------------------------------
+# the Hermite form against the Laguerre series and the beam splitter
+
+
+def random_mixed_state(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T  # full rank with probability 1
+    return rho / np.trace(rho).real
+
+
+def test_fig3_snapshots_match_laguerre_oracle(monkeypatch):
+    states = []
+
+    def capture(state, grid):
+        states.append(state)
+        return np.zeros((grid.nx, grid.np))
+
+    monkeypatch.setattr(harness, "wigner", capture)
+    # the fig3 snapshot point: gamma/K = 0.1 at Kt = 0.4, at dim 48
+    row = harness.evaluate_point(0.0, 2.0, 1.0, 0.1, 0.4, dim=48, with_mai=False)
+    harness._fig3_snapshots(row, SNAPSHOT_GRID)
+    assert len(states) == 3 and all(s.dim == 48 and not s.is_pure for s in states)
+    for state in states:
+        rho = state.density_matrix()
+        got = _untrimmed_wigner(rho, SNAPSHOT_GRID)
+        np.testing.assert_allclose(got, laguerre_wigner(rho, SNAPSHOT_GRID), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 17])
+def test_random_mixed_states_match_laguerre_oracle_off_centre(dim):
+    # off-centre and non-square, so a swapped axis or a sign of p shows
+    grid = PhaseGrid(x_range=(-2.0, 7.0), p_range=(-4.0, 3.0), nx=37, np=53)
+    rho = random_mixed_state(dim, seed=dim)
+    got = _untrimmed_wigner(rho, grid)
+    assert got.shape == (37, 53)
+    np.testing.assert_allclose(got, laguerre_wigner(rho, grid), rtol=0, atol=1e-14)
+
+
+def whole_block(n: int, lo: int, half: np.ndarray) -> np.ndarray:
+    """The kept columns m = lo .. n - lo of B on the n-photon block: column
+    n - m is column m with the odd-l rows negated (l = n - k)."""
+    sign = (-1.0) ** (n - np.arange(n + 1))[:, None]
+    mirrored = (sign * half)[:, : n + 1 - 2 * lo - half.shape[1]]
+    return np.hstack((half, mirrored[:, ::-1]))
+
+
+def test_beam_splitter_blocks_are_orthogonal():
+    dim = 201
+    for n, lo, half in _beam_splitter_blocks(dim):
+        block = whole_block(n, lo, half)
+        assert block.shape == (n + 1, n + 1 - 2 * lo)
+        # the kept columns are orthonormal
+        gram = block.T @ block
+        np.testing.assert_allclose(gram, np.eye(gram.shape[0]), rtol=0, atol=1e-13)
+        if n < dim:
+            # the whole block: B is real, orthogonal and its own inverse, so symmetric
+            np.testing.assert_allclose(block, block.T, rtol=0, atol=1e-13)
+            # B|0, n> = (a1^dag - a2^dag)^n / sqrt(2^n n!) |0, 0>
+            k = np.arange(n + 1)
+            binom = np.array([math.comb(n, int(i)) / 2.0**n for i in k])
+            np.testing.assert_allclose(
+                block[:, 0], (-1.0) ** (n - k) * np.sqrt(binom), rtol=0, atol=1e-13
+            )
+
+
+# ---------------------------------------------------------------------------
 # truncation handling
 
 
@@ -276,8 +400,8 @@ def test_level_trim_stays_within_its_bound(tol):
         rho = state.density_matrix()
         dim = _trimmed_dim(state.populations(), tol)
         assert dim < state.dim
-        full = _laguerre_series(rho, grid)
-        trimmed = _laguerre_series(rho[:dim, :dim], grid)
+        full = _untrimmed_wigner(rho, grid)
+        trimmed = _untrimmed_wigner(rho[:dim, :dim], grid)
         # rounding of the two sums adds a few ulps of 1/pi on top of the bound
         assert float(np.max(np.abs(full - trimmed))) <= tol + 1e-15
         # dim is the smallest number of levels that meets the bound
