@@ -11,13 +11,14 @@ through the exact spectral decomposition of each sector (one call of the
 LAPACK tridiagonal eigensolver dstevd, cached and reused across times) and
 propagates the even and odd rows of a state separately; the vacuum never
 leaves the even sector.
-Dissipative evolution under the jump operator sqrt(gamma) * a applies the
-exponential of the vectorised Liouvillian, which keeps the same symmetry: it
-never mixes entries rho_ij whose (i + j) parities differ, so it splits into
-two half-size sparse blocks.  A time grid is one chained propagation through
-its sorted times, each step one Chebyshev series (Tal-Ezer & Kosloff, J. Chem.
-Phys. 81, 3967 (1984)), or a few equal substeps of one, with degree and
-substep count fixed a priori by the step and the block.
+Dissipative evolution under the jump operator sqrt(gamma) * a applies exp(L t)
+for the vectorised Liouvillian L, which never mixes entries rho_ij of unlike
+(i + j) parity: its two half-size sparse blocks are built once per (dim, H,
+gamma).  H and a are real, so the echo's -H under the same loss is conj(L), and
+the Heisenberg picture's L^T keeps the blocks' enclosure.  A time grid is one
+chained pass through its sorted times, each step one Chebyshev series (Tal-Ezer
+& Kosloff, J. Chem. Phys. 81, 3967 (1984)) or a few equal substeps of one, with
+degree and substep count fixed a priori by the step and the block.
 
 The public evolutions (evolve_unitary, evolve_lindblad, evolve_vacuum) put
 their results through fock.check_tail; builders for fock.at_dim use the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -182,16 +183,15 @@ def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> Quant
 # Lindblad evolution
 
 
-def liouvillian(dim: int, p: HamiltonianParams, loss: LossParams, reverse: bool = False):
+def liouvillian(dim: int, p: HamiltonianParams, loss: LossParams):
     """Sparse vectorised Liouvillian, row-major convention vec(rho) = rho.reshape(-1).
 
-    ``reverse=True`` flips the sign of H while keeping the dissipator, i.e.
-    the physical echo step where losses keep acting.
+    Only -i [H, .] has imaginary entries, so the echo step, -H with the
+    losses still acting, is its complex conjugate.
     """
     dim = check_dim(dim)
-    sign = -1.0 if reverse else 1.0
     diag, off = _hamiltonian_bands(dim, p.delta, p.epsilon, p.kerr)
-    h = sign * sp.diags([off, diag, off], [-2, 0, 2], format="csr", dtype=complex)
+    h = sp.diags([off, diag, off], [-2, 0, 2], format="csr", dtype=complex)
     eye = sp.identity(dim, dtype=complex, format="csr")
     lv = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
     if loss.gamma > 0.0:
@@ -212,6 +212,8 @@ class LiouvillianBlock:
     Gershgorin intervals of both parts, as off centre the series would build
     fast-decaying modes from far larger terms.  matrix is X = A / (i r_im); rho is
     the Bernstein parameter of the ellipse, foci +-1, through w = 1 + i r_re / r_im.
+    The block of L^T, for the Heisenberg picture, is X^T with the same mu and
+    enclosure: both parts are (anti-)Hermitian, so their row and column sums agree.
     """
 
     matrix: sp.csr_matrix
@@ -309,22 +311,16 @@ def _parity_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=4)
 def liouvillian_blocks(
-    dim: int,
-    p: HamiltonianParams,
-    loss: LossParams,
-    reverse: bool = False,
-    transposed: bool = False,
+    dim: int, p: HamiltonianParams, loss: LossParams
 ) -> tuple[LiouvillianBlock, LiouvillianBlock]:
-    """The (i + j)-even and -odd blocks of liouvillian(...), or of its
-    transpose, as LiouvillianBlock.
+    """The (i + j)-even and -odd blocks of liouvillian(...) as LiouvillianBlock.
 
     H and the jump operator a change i + j by 0 or 2 for every entry
     rho_ij, so these two blocks are all of the Liouvillian.  Cached with
-    their shift and enclosure: a time grid and its echo reuse them.
+    their shift and enclosure: a time grid, its echo and the echo's
+    Heisenberg readouts all propagate with them.
     """
-    lv = liouvillian(dim, p, loss, reverse=reverse)
-    if transposed:
-        lv = lv.T.tocsr()
+    lv = liouvillian(dim, p, loss)
     return tuple(LiouvillianBlock.from_csr(lv[idx][:, idx]) for idx in _parity_indices(dim))
 
 
@@ -341,6 +337,7 @@ def lindblad_trajectory(
     block holds row-major vec'd dim x dim operators as columns (a 1-d block
     is one column).  adjoint=True uses the transpose of L, i.e. the
     Heisenberg picture: Tr[A exp(L t)(C)] = (exp(L^T t) vec(A^T))^T vec(C).
+    reverse=True evolves under -H with the same loss: conj(exp(L t) conj(x)).
     The times must be non-decreasing; each step t_k - t_(k-1) is one
     exp(L dt) per parity block, applied only to the columns that are nonzero
     in that block.  Returns an array of shape (len(times),) + block.shape.
@@ -349,13 +346,13 @@ def lindblad_trajectory(
     if not np.all(steps >= 0.0):  # reverse=True, not a negative time, runs the echo
         raise ValueError(f"times must be >= 0 and non-decreasing, got {list(times)!r}")
     block = np.asarray(block, dtype=complex)
-    flat = block.reshape(block.shape[0], -1)
+    flat = (block.conj() if reverse else block).reshape(block.shape[0], -1)
     dim = math.isqrt(flat.shape[0])
     if dim * dim != flat.shape[0]:
         raise ValueError(f"block rows must be dim^2 for a dim x dim operator, got {flat.shape[0]}")
     out = np.zeros((len(steps),) + flat.shape, dtype=complex)
-    lv_blocks = liouvillian_blocks(dim, p, loss, reverse, adjoint)
-    for idx, lv in zip(_parity_indices(dim), lv_blocks):
+    for idx, lv in zip(_parity_indices(dim), liouvillian_blocks(dim, p, loss)):
+        lv = replace(lv, matrix=lv.matrix.T.tocsr()) if adjoint else lv
         cols = np.flatnonzero(flat[idx].any(axis=0))
         if cols.size == 0:
             continue
@@ -364,7 +361,7 @@ def lindblad_trajectory(
             if step > 0.0:
                 current = _lindblad_apply(lv, current, float(step))
             out[k][np.ix_(idx, cols)] = current
-    return out.reshape((len(steps),) + block.shape)
+    return (out.conj() if reverse else out).reshape((len(steps),) + block.shape)
 
 
 def _lindblad_states(

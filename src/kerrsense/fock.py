@@ -263,12 +263,15 @@ class QuantumState:
         return float(tail_populations(self.populations()))
 
     def factor(self) -> np.ndarray:
-        """W with rho = W W^dag: the ket as one column, or V sqrt(lambda) from the
-        eigendecomposition of a density matrix (eigenvalues clipped at 0)."""
+        """W with rho = W W^dag: the ket as one column, or V sqrt(lambda) on the
+        eigenvalues above eigh's round-off, dim eps times their largest; eigh is
+        exact on a diagonal rho, whose positive entries are all kept."""
         if self.is_pure:
             return self.data[:, None]
         lam, vecs = np.linalg.eigh(self.data)
-        return vecs * np.sqrt(np.clip(lam, 0.0, None))
+        diagonal = np.count_nonzero(self.data) == np.count_nonzero(np.diagonal(self.data))
+        keep = lam > (0.0 if diagonal else lam[-1] * self.dim * np.finfo(float).eps)
+        return vecs[:, keep] * np.sqrt(lam[keep])
 
     def purity(self) -> float:
         if self.is_pure:

@@ -86,7 +86,6 @@ CSV_COLUMNS = [
 
 FIG1_TRACE_EPSILON = 2.0  # the V_min(t) traces fix epsilon and sweep kerr
 FIG1_OPTIMA_KERR = 1.0  # the optimal-squeezing table is quoted per unit K
-FIG2_BOUNDARY = 0.05
 
 SNAPSHOT_KT = 0.4
 SNAPSHOT_GAMMA = 0.1  # gamma/K for the phase-space snapshot family

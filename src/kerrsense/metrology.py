@@ -449,11 +449,11 @@ def _mai_derivative_route(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Echo responses (r, cov) of prepared density matrices, lossy or not.
 
-    rhos[k] is reversed for reversal_times[k] under -H with the same
-    dissipator, a linear map Phi. The derivative of D(d) rho D(d)^dag at
+    rhos[k] is reversed for reversal_times[k] under -H with the same dissipator,
+    a linear map Phi = exp(conj(L) tau). The derivative of D(d) rho D(d)^dag at
     d = 0 is -i[G, rho], so the response is d<a>/dd = Tr[a Phi(-i[G, rho])].
     Both this and the readout moments are read in the Heisenberg picture,
-    Tr[A Phi(C)] = (exp(L_rev^T tau) vec(A^T))^T vec(C): the readouts a, a^2
+    Tr[A Phi(C)] = (exp(conj(L)^T tau) vec(A^T))^T vec(C): the readouts a, a^2
     and a^dag a evolve backwards once, chained through the sorted distinct
     reversal times, and each state then needs only dim x dim algebra.
     """

@@ -1,6 +1,7 @@
 """Closed and open evolution, squeezing figures, and their analytic oracles."""
 
 import cmath
+import dataclasses
 import logging
 import math
 import re
@@ -280,6 +281,17 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     return rho
 
 
+def _negated(p: HamiltonianParams) -> HamiltonianParams:
+    return HamiltonianParams(delta=-p.delta, epsilon=-p.epsilon, kerr=-p.kerr)
+
+
+def _generator(dim, p, loss, reverse=False, transposed=False):
+    # the full-space Liouvillian of the echo (-H) and of the Heisenberg
+    # picture (L^T), built without the package's conjugation and transpose
+    lv = liouvillian(dim, _negated(p) if reverse else p, loss)
+    return lv.T.tocsr() if transposed else lv
+
+
 def test_liouvillian_matches_dense_generator():
     dim = 16
     p = HamiltonianParams(delta=0.3, epsilon=0.8, kerr=0.5)
@@ -294,13 +306,15 @@ def test_liouvillian_matches_dense_generator():
     lv = liouvillian(dim, p, LossParams(gamma))
     got = (lv @ rho.reshape(-1)).reshape(dim, dim)
     np.testing.assert_allclose(got, expected, atol=1e-12)
-    # reverse flips the Hamiltonian only, never the dissipator
-    lv_rev = liouvillian(dim, p, LossParams(gamma), reverse=True)
+    # the echo flips the Hamiltonian only, never the dissipator; as H and a
+    # are real, that generator is the complex conjugate
+    lv_rev = liouvillian(dim, _negated(p), LossParams(gamma))
     expected_rev = 1j * (h @ rho - rho @ h) + gamma * (
         a @ rho @ a.conj().T - 0.5 * (n_op @ rho + rho @ n_op)
     )
     got_rev = (lv_rev @ rho.reshape(-1)).reshape(dim, dim)
     np.testing.assert_allclose(got_rev, expected_rev, atol=1e-12)
+    assert (lv_rev != lv.conj()).nnz == 0
 
 
 @pytest.mark.parametrize("reverse, transposed", [(False, False), (True, False), (True, True)])
@@ -308,13 +322,12 @@ def test_lindblad_parity_blocks(reverse, transposed):
     dim = 16
     p = HamiltonianParams(delta=0.3, epsilon=0.8, kerr=0.5)
     loss = LossParams(0.25)
-    lv = liouvillian(dim, p, loss, reverse=reverse)
-    lv = lv.T.tocsr() if transposed else lv
+    lv = _generator(dim, p, loss, reverse, transposed)
     # no entry couples rho_ij with i + j even to one with i + j odd
     parity = np.add.outer(np.arange(dim), np.arange(dim)).reshape(-1) % 2
     rows, cols = lv.nonzero()
     assert np.all(parity[rows] == parity[cols])
-    even, odd = dynamics.liouvillian_blocks(dim, p, loss, reverse, transposed)
+    even, odd = dynamics.liouvillian_blocks(dim, p, loss)
     assert even.matrix.shape == odd.matrix.shape == (dim * dim // 2, dim * dim // 2)
 
     rho = random_density(dim, seed=5).reshape(-1)
@@ -338,15 +351,21 @@ def _echo_readout_block(dim: int) -> np.ndarray:
 
 
 def _assert_matches_dense_expm(dim, p, gamma, reverse, transposed, dt):
-    # each parity block against its own dense exponential; a readout that
-    # vanishes on a block must stay exactly zero
-    blocks = dynamics.liouvillian_blocks(dim, p, LossParams(gamma), reverse, transposed)
+    # each parity block of the generator against its own dense exponential;
+    # the echo's is conj(L), run as conj(exp(L t) conj(x)), and the
+    # Heisenberg picture's the transposed block.  A readout that vanishes on
+    # a block must stay exactly zero
+    lv_full = _generator(dim, p, LossParams(gamma), reverse, transposed).toarray()
+    blocks = dynamics.liouvillian_blocks(dim, p, LossParams(gamma))
     readouts = _echo_readout_block(dim)
     for idx, lv in zip(dynamics._parity_indices(dim), blocks):
         block = readouts[idx]
-        dense = 1j * lv.r_im * lv.matrix.toarray() + lv.shift * np.eye(lv.matrix.shape[0])
-        expected = scipy.linalg.expm(dense * dt) @ block
-        got = dynamics._lindblad_apply(lv, block, dt)
+        expected = scipy.linalg.expm(lv_full[np.ix_(idx, idx)] * dt) @ block
+        lv = dataclasses.replace(lv, matrix=lv.matrix.T.tocsr()) if transposed else lv
+        if reverse:
+            got = dynamics._lindblad_apply(lv, block.conj(), dt).conj()
+        else:
+            got = dynamics._lindblad_apply(lv, block, dt)
         for k in range(block.shape[1]):
             if not block[:, k].any():
                 assert not got[:, k].any()
@@ -386,10 +405,18 @@ def test_lindblad_apply_matches_dense_expm_on_edge_blocks(dim, p, gamma, dt, rev
 
 def test_liouvillian_block_encloses_its_numerical_range():
     # W(A) lies in [-r_re, r_re] x i[-r_im, r_im] exactly when the spectra of
-    # the Hermitian parts of A and A/i do; the shift centres the first
+    # the Hermitian parts of A and A/i do; the shift centres the first.  The
+    # blocks of L^T, which the Heisenberg picture runs as the transposed
+    # blocks of L, have the same shift and enclosure
     dim = 12
     loss = LossParams(0.5)
-    for lv in dynamics.liouvillian_blocks(dim, FIG3_PARAMS, loss, True, True):
+    lv_t = liouvillian(dim, FIG3_PARAMS, loss).T.tocsr()
+    blocks = dynamics.liouvillian_blocks(dim, FIG3_PARAMS, loss)
+    for idx, forward in zip(dynamics._parity_indices(dim), blocks):
+        lv = dynamics.LiouvillianBlock.from_csr(lv_t[idx][:, idx])
+        assert (lv.matrix != forward.matrix.T).nnz == 0
+        enclosures = [(b.shift, b.r_re, b.r_im, b.rho) for b in (lv, forward)]
+        assert enclosures[0] == enclosures[1]
         a = 1j * lv.r_im * lv.matrix.toarray()
         re = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
         im = np.linalg.eigvalsh((a - a.conj().T) / 2.0j)
@@ -419,7 +446,7 @@ def test_chebyshev_degree_meets_its_a_priori_bound():
     # <= 2^-53 holds at the chosen N and fails one degree lower
     from scipy.special import jv
 
-    for lv in dynamics.liouvillian_blocks(48, FIG3_PARAMS, LossParams(0.1), True, True):
+    for lv in dynamics.liouvillian_blocks(48, FIG3_PARAMS, LossParams(0.1)):
         z = 0.1 * lv.r_im
         n = len(dynamics._chebyshev_coefficients(z, lv.rho)) - 1
         assert n < 330
@@ -432,7 +459,7 @@ def test_lindblad_apply_is_deterministic():
     # the degree comes from t and the block alone: no norm estimate, no
     # random draws, no test of the terms
     dim = 24
-    even, _ = dynamics.liouvillian_blocks(dim, FIG3_PARAMS, LossParams(0.1), True, True)
+    even, _ = dynamics.liouvillian_blocks(dim, FIG3_PARAMS, LossParams(0.1))
     block = _echo_readout_block(dim)[dynamics._parity_indices(dim)[0]]
     first = dynamics._lindblad_apply(even, block, 0.4)
     np.testing.assert_array_equal(dynamics._lindblad_apply(even, block, 0.4), first)
@@ -550,7 +577,7 @@ def test_lindblad_matches_dense_expm(reverse):
     p = HamiltonianParams(delta=0.4, epsilon=0.3, kerr=0.5)
     loss = LossParams(0.3)
     thermal = QuantumState.thermal(dim, 0.3)
-    lv = liouvillian(dim, p, loss, reverse=reverse).toarray()
+    lv = _generator(dim, p, loss, reverse).toarray()
     dense = (scipy.linalg.expm(lv * t) @ thermal.density_matrix().reshape(-1)).reshape(dim, dim)
     got = evolve_lindblad(thermal, p, loss, t, reverse=reverse)
     np.testing.assert_allclose(got.density_matrix(), dense, rtol=0, atol=1e-12)

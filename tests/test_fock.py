@@ -294,10 +294,11 @@ def test_mixed_state_accessors():
     with pytest.raises(ValueError):
         _ = s.ket
     np.testing.assert_array_equal(s.density_matrix(), s.data)
-    # the factor W has one column per level and W W^dag = rho
+    # the factor W has one column per eigenvalue above round-off, the four
+    # kets of the mixture here, and W W^dag = rho
     mixed = random_mixed(20, seed=9)
     w = mixed.factor()
-    assert w.shape == (20, 20)
+    assert w.shape == (20, 4)
     np.testing.assert_allclose(w @ w.conj().T, mixed.data, rtol=0, atol=1e-14)
 
 
@@ -320,6 +321,7 @@ def test_ket_and_its_density_matrix_agree_through_the_factor():
     pure = QuantumState.from_ket(v / np.linalg.norm(v))
     mixed = QuantumState.from_density_matrix(pure.density_matrix())
     assert not mixed.is_pure
+    assert mixed.factor().shape == (dim, 1)
     x, p, a = position(dim), momentum(dim), annihilation(dim)
     assert abs(expectation(pure, a) - expectation(mixed, a)) < 1e-13
     assert abs(covariance(pure, x, p) - covariance(mixed, x, p)) < 1e-13
@@ -433,9 +435,9 @@ def test_state_fidelity_mixed_branches_agree():
     fast = state_fidelity(pure, mixed)
     as_density = QuantumState.from_density_matrix(pure.density_matrix())
     general = state_fidelity(as_density, mixed)
-    # the factor of a rank-1 density matrix carries square roots of its
-    # round-off eigenvalues
-    assert abs(fast - general) < 5e-8
+    # the factor of a rank-1 density matrix leaves out its round-off
+    # eigenvalues, whose square roots would be ~3e-9
+    assert abs(fast - general) < 1e-12
     assert abs(state_fidelity(mixed, mixed) - 1.0) < 1e-8
 
 
@@ -450,13 +452,12 @@ def test_state_fidelity_matches_sqrtm():
     expected = _sqrtm_fidelity(cold.data, warm.data)
     assert abs(state_fidelity(cold, warm) - expected) < 1e-12
     assert abs(state_fidelity(warm, cold) - expected) < 1e-12
-    # a rank-1 density matrix holds only to ~1e-8 (square roots of its
-    # round-off eigenvalues), where its ket is exact
+    # a rank-1 density matrix holds as its ket does
     ket = random_ket(dim, seed=3)
     rank1 = QuantumState.from_density_matrix(ket.density_matrix())
     exact = float(np.vdot(ket.ket, warm.data @ ket.ket).real)
     assert abs(state_fidelity(ket, warm) - exact) < 1e-12
-    assert abs(state_fidelity(rank1, warm) - exact) < 2e-8
+    assert abs(state_fidelity(rank1, warm) - exact) < 1e-12
 
 
 def test_state_fidelity_dim_mismatch():

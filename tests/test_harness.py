@@ -492,6 +492,22 @@ def test_run_fig3_snapshots_cover_echo_protocol():
     assert np.abs(displaced.w - reversed_.w).max() > 0.1
 
 
+def test_lossy_fig3_builds_one_liouvillian_pair(monkeypatch):
+    # the row, the snapshots' reversal and the echo's Heisenberg readouts all
+    # run on one parity pair per (dim, H, gamma): the reversed generator is
+    # its complex conjugate and the Heisenberg one its transpose
+    built = []
+    from_csr = dynamics.LiouvillianBlock.from_csr
+    counted = staticmethod(lambda lv: built.append(lv) or from_csr(lv))
+    monkeypatch.setattr(dynamics.LiouvillianBlock, "from_csr", counted)
+    dynamics.liouvillian_blocks.cache_clear()
+    cfg = ExperimentConfig("fig3", (0.0,), (2.0,), (1.0,), (0.1,), (0.4,), (0.0,))
+    grid = PhaseGrid(x_range=(-6.0, 6.0), p_range=(-6.0, 6.0), nx=21, np=21)
+    res = run_fig3(cfg, dim=32, snapshot_grid=grid)
+    assert len(res.rows) == 1 and len(res.snapshots) == 3
+    assert [lv.shape for lv in built] == [(512, 512), (512, 512)]
+
+
 def test_run_scaling_slopes():
     kt = tuple(np.linspace(0.0, 1.0, 201))
     cfg = ExperimentConfig("scaling", (0.0,), (2.0, 4.0), (1.0,), (0.0,), kt, (0.0,))

@@ -542,9 +542,8 @@ def test_lossy_echo_matches_dense_schrodinger_oracle(reversal_time):
     rho = (rho + rho.conj().T) / 2.0
     x, p_op = fock.position(dim).matrix, fock.momentum(dim).matrix
     columns = [rho, -1j * (x @ rho - rho @ x), -1j * (p_op @ rho - rho @ p_op)]
-    echo = scipy.linalg.expm(
-        dynamics.liouvillian(dim, p, loss, reverse=True).toarray() * reversal_time
-    )
+    negated = HamiltonianParams(delta=-p.delta, epsilon=-p.epsilon, kerr=-p.kerr)
+    echo = scipy.linalg.expm(dynamics.liouvillian(dim, negated, loss).toarray() * reversal_time)
     evolved = [(echo @ c.reshape(-1)).reshape(dim, dim) for c in columns]
     cov = fock.quadrature_covariance(QuantumState.from_density_matrix(evolved[0]))
     a = fock.annihilation(dim).matrix
