@@ -11,7 +11,16 @@ snapshots, and a CLI drives reproducible parameter sweeps.
 Diagnostics go to the ``kerrsense`` stdlib logger (e.g. the dimensions that
 ``converge_dim`` tries, with their tails, at DEBUG).  It has a NullHandler,
 so nothing is printed unless the application configures logging.
+
+Importing the package pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``
+= 1, unless already set) before numpy loads: every computation here is
+serial and small, so BLAS helper threads would only spin.  The pin takes
+effect only if kerrsense is imported before numpy.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import logging
 

@@ -1,15 +1,18 @@
 """Command-line entry point.
 
 Each subcommand names an experiment; flags control input config, output
-location/format, and Fock dimension policy; --threads is accepted (>= 1) but
-has no effect.  Exit codes: 0 success, 1 computation error, 2 configuration
-error.
+location/format, and Fock dimension policy; -v prints the package's DEBUG
+log lines to stderr.  --threads is accepted (>= 1) but has no effect: every
+experiment, and every BLAS call in it, runs in the calling thread, since
+importing the package pins OpenBLAS to one thread.  Exit codes: 0 success,
+1 computation error, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import logging
 import os
 import sys
 from pathlib import Path
@@ -58,13 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="accepted for compatibility (must be >= 1); has no effect",
+            help="accepted for compatibility (must be >= 1); has no effect: "
+            "everything, BLAS included, runs in one thread",
         )
         sp.add_argument(
             "--with-k3",
             action="store_true",
             dest="with_k3",
             help="also compute the third-order moment sensitivity column",
+        )
+        sp.add_argument(
+            "-v",
+            "--verbose",
+            action="store_true",
+            help="print the kerrsense DEBUG log (dims tried, Lindblad blocks) to stderr",
         )
     return parser
 
@@ -83,6 +93,12 @@ def _parse_dim(text: str) -> int | None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log, handler = logging.getLogger("kerrsense"), logging.StreamHandler(sys.stderr)
+    level = log.level
+    if args.verbose:
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         if args.config is not None:
             cfg = parse_config(args.config.read_text(), experiment=args.experiment)
@@ -120,6 +136,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

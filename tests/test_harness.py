@@ -974,6 +974,50 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1]), **extra}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_pins_blas_to_one_thread():
+    # every computation is serial, so importing the package sets
+    # OPENBLAS_NUM_THREADS=1 before numpy loads and no BLAS helper thread
+    # starts; a value the user has set still wins
+    code = (
+        "import os, kerrsense.cli; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    )
+
+    def run(**extra):
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_env_without_blas_threads(**extra),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    assert run() == ["1", "1"]
+    assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_wigner_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # with OpenBLAS's default pool (one thread per core) the Wigner GEMM sums
+    # in another order and moves some cells by ~1e-25; the import-time pin
+    # makes the bytes those of the one-thread run.  A 1-core host passes
+    # this test trivially.
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"wigner-{len(extra)}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "kerrsense.cli", "wigner", "--out", str(out)],
+            env=_env_without_blas_threads(**extra), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_lossy_cli_run_leaves_scipy_special_unloaded(tmp_path):
     # the Chebyshev propagator computes its own Bessel values: importing
     # scipy.special would add its memory to every lossy run
@@ -1001,3 +1045,20 @@ def test_lindblad_debug_log_leaves_the_csv_bytes(tmp_path, caplog):
         assert main(["fig3", "--config", str(cfg), "--dim", "32", "--out", str(logged)]) == 0
     assert any(r.msg.startswith("lindblad: block") for r in caplog.records)
     assert logged.read_bytes() == quiet.read_bytes()
+
+
+def test_cli_verbose_logs_to_stderr_and_leaves_the_csv_bytes(tmp_path, capsys):
+    cfg = tmp_path / "lossy.cfg"
+    cfg.write_text("gamma = 0.1\nkt = 0.2\n")
+    outputs, errs = [], []
+    for flags in ([], ["-v"]):
+        out = tmp_path / f"fig3{''.join(flags)}.csv"
+        with pytest.warns(TruncationWarning):  # dim 16 is too small on purpose
+            assert main(["fig3", "--config", str(cfg), "--dim", "16", "--out", str(out), *flags]) == 0
+        outputs.append(out.read_bytes())
+        errs.append(capsys.readouterr().err)
+    assert outputs[0] == outputs[1]
+    assert "lindblad: block" not in errs[0]
+    assert "kerrsense.dynamics: lindblad: block 128 rows" in errs[1]
+    # the handler goes again when main returns
+    assert not any(isinstance(h, logging.StreamHandler) for h in logging.getLogger("kerrsense").handlers)
