@@ -117,15 +117,15 @@ def main(argv=None) -> int:
             out = Path(f"{args.experiment}.{args.format}")
         if not out.parent.is_dir():  # before the computation, not after it
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+        for path in harness.output_paths(cfg.experiment, out, args.format):
+            if path.is_dir():  # emit could not write it, and only after the run
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         result = harness.run_experiment(cfg, dim=dim, with_k3=args.with_k3)
         written = harness.emit(result, out, fmt=args.format)
         for path in written:
             print(path)
         return 0
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (

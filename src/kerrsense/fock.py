@@ -531,6 +531,7 @@ def converge_dim(
     log.debug("converge_dim: tried dim %d", dim)
     while next_dim(dim) <= max_dim:
         lower, dim = dim, next_dim(dim)
+        del result  # only its figures and tail are kept: free it before the next build
         result = build(dim)
         nxt = np.atleast_1d(np.asarray(figures(result), dtype=float))
         scale = np.maximum(np.maximum(np.abs(prev), np.abs(nxt)), 1e-12)

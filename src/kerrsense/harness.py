@@ -33,7 +33,9 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +46,8 @@ from .config import ConfigError, ExperimentConfig
 from .dynamics import HamiltonianParams, LossParams, NoInteriorMinimumError
 from .fock import AUTO_DIM_RTOL, QuantumState
 from .wigner import DEFAULT_GRID, PhaseGrid, wigner
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "AUTO_DIM_RTOL",
@@ -56,6 +60,7 @@ __all__ = [
     "WignerSnapshot",
     "emit",
     "evaluate_point",
+    "output_paths",
     "rows_to_csv",
     "run_custom",
     "run_experiment",
@@ -90,6 +95,7 @@ FIG1_OPTIMA_KERR = 1.0  # the optimal-squeezing table is quoted per unit K
 SNAPSHOT_KT = 0.4
 SNAPSHOT_GAMMA = 0.1  # gamma/K for the phase-space snapshot family
 SNAPSHOT_DISPLACEMENT = 1.0  # quadrature displacement, chosen to be visible
+FIG3_SNAPSHOTS = ("prepared", "displaced", "reversed")  # the echo's three stages
 
 # The displaced/reversed snapshot states carry ~1e-4 Wigner weight at |x| = 5,
 # so the snapshot grid is wider than the general-purpose default.
@@ -133,22 +139,11 @@ class SweepRow:
     state: QuantumState | None = field(default=None, repr=False, compare=False)
 
     def column_values(self) -> list:
-        return [
-            self.delta,
-            self.epsilon,
-            self.kerr,
-            self.gamma,
-            self.kt,
-            self.dim,
-            self.n_mean,
-            self.v_min,
-            self.chi2inv_1,
-            self.chi2inv_2,
-            self.chi2inv_3,
-            self.f_q,
-            self.chi2inv_mai,
-            self.status,
-        ]
+        return [getattr(self, name) for name in _COLUMN_FIELDS]
+
+
+# the CSV columns are SweepRow's leading fields, in schema order
+_COLUMN_FIELDS = [f.name for f in dataclasses.fields(SweepRow)][: len(CSV_COLUMNS)]
 
 
 @dataclass
@@ -488,11 +483,8 @@ def _fig3_snapshots(row: SweepRow, grid: PhaseGrid) -> list[WignerSnapshot]:
     reversed_state = dynamics.evolve_lindblad(
         displaced, p, LossParams(row.gamma), t, reverse=True
     )
-    return [
-        _snapshot("prepared", prepared, report, grid),
-        _snapshot("displaced", displaced, report, grid),
-        _snapshot("reversed", reversed_state, report, grid),
-    ]
+    states = (prepared, displaced, reversed_state)
+    return [_snapshot(name, s, report, grid) for name, s in zip(FIG3_SNAPSHOTS, states)]
 
 
 def run_fig3(
@@ -783,16 +775,6 @@ def _fit_to_dict(fit: ScalingFit) -> dict:
     }
 
 
-def _snapshot_to_dict(snap: WignerSnapshot) -> dict:
-    return {
-        "x_grid": snap.x_grid.tolist(),
-        "p_grid": snap.p_grid.tolist(),
-        "w": snap.w.tolist(),
-        "phi_opt": snap.phi_opt,
-        "theta_opt": snap.theta_opt,
-    }
-
-
 def result_to_dict(result: SweepResult) -> dict:
     out: dict = {
         "experiment": result.experiment,
@@ -806,40 +788,62 @@ def result_to_dict(result: SweepResult) -> dict:
     return out
 
 
+def _snapshot_chunks(snap: WignerSnapshot):
+    """json.dumps of the snapshot's fields plus a newline, one row of w at a
+    time: a dumps per row runs the C encoder (json.dump would not)."""
+    x, p = json.dumps(snap.x_grid.tolist()), json.dumps(snap.p_grid.tolist())
+    yield f'{{"x_grid": {x}, "p_grid": {p}, "w": ['
+    for i, row in enumerate(snap.w):
+        yield (", " if i else "") + json.dumps(row.tolist())
+    angles = json.dumps(snap.phi_opt), json.dumps(snap.theta_opt)
+    yield '], "phi_opt": %s, "theta_opt": %s}\n' % angles
+
+
+def _write(path: Path, chunks, written: list[Path]) -> None:
+    start = time.perf_counter()
+    with path.open("w") as fh:
+        fh.writelines(chunks)
+    if log.isEnabledFor(logging.DEBUG):
+        size, seconds = path.stat().st_size, time.perf_counter() - start
+        log.debug("emit: wrote %s, %d bytes in %.3f s", path, size, seconds)
+    written.append(path)
+
+
+def _sidecar(out: Path, kind: str) -> Path:
+    return out.with_name(f"{out.stem}_{kind}{out.suffix if kind == 'optima' else '.json'}")
+
+
+def output_paths(experiment: str, out: Path, fmt: str = "csv") -> list[Path]:
+    """The paths emit writes for a run of the experiment, out first."""
+    kinds = {"fig1": ["optima"], "scaling": ["fits"]}.get(experiment, []) if fmt == "csv" else []
+    snaps = [f"wigner_{name}" for name in FIG3_SNAPSHOTS] if experiment == "fig3" else []
+    return [out] + [_sidecar(out, kind) for kind in kinds + snaps]
+
+
 def emit(result: SweepResult, out_path: str | Path, fmt: str = "csv") -> list[Path]:
     """Write the result files; returns the paths written.
 
     CSV keeps the pinned column schema; the optima table and scaling fits go
     to sidecar files.  JSON mirrors the schema in one file.  Wigner snapshots
-    are always one JSON file each.
+    are always one JSON file each, streamed row by row of W (the bytes of one
+    json.dumps), so memory does not grow with the grid.  Each file written
+    logs one DEBUG line: path, size and seconds.
     """
     out = Path(out_path)
     written: list[Path] = []
     if result.experiment != "wigner":
         if fmt == "csv":
-            out.write_text(rows_to_csv(result.rows))
-            written.append(out)
+            _write(out, [rows_to_csv(result.rows)], written)
             if result.optima is not None:
-                side = out.with_name(out.stem + "_optima" + out.suffix)
-                side.write_text(rows_to_csv(result.optima))
-                written.append(side)
+                _write(_sidecar(out, "optima"), [rows_to_csv(result.optima)], written)
             if result.fits is not None:
-                side = out.with_name(out.stem + "_fits.json")
-                side.write_text(
-                    json.dumps([_fit_to_dict(f) for f in result.fits], indent=1) + "\n"
-                )
-                written.append(side)
+                fits = json.dumps([_fit_to_dict(f) for f in result.fits], indent=1)
+                _write(_sidecar(out, "fits"), [fits + "\n"], written)
         elif fmt == "json":
-            out.write_text(json.dumps(result_to_dict(result), indent=1) + "\n")
-            written.append(out)
+            _write(out, [json.dumps(result_to_dict(result), indent=1) + "\n"], written)
         else:
             raise ValueError(f"unknown output format {fmt!r}")
     for snap in result.snapshots or []:
-        if result.experiment == "wigner":
-            path = out
-        else:
-            path = out.with_name(f"{out.stem}_wigner_{snap.name}.json")
-        # no indent: a 201 x 201 grid goes through the C encoder
-        path.write_text(json.dumps(_snapshot_to_dict(snap)) + "\n")
-        written.append(path)
+        path = out if result.experiment == "wigner" else _sidecar(out, f"wigner_{snap.name}")
+        _write(path, _snapshot_chunks(snap), written)
     return written

@@ -1,8 +1,10 @@
 """Operator algebra, state constructors, and moments on the truncated space."""
 
+import gc
 import logging
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -543,6 +545,28 @@ def test_converge_dim_tail_guard_rejects_agreeing_rungs(caplog):
     )
     assert messages[3].endswith("tail at dim 48 0.000e+00 (guard 1e-12 held)")
     assert messages[4] == "converge_dim: accepted dim 64 (rel_tol 1.0e-07)"
+
+
+def test_converge_dim_frees_each_rung_before_building_the_next():
+    # the climb keeps a rung's figures and tail, not its result: at fig1's
+    # K = 0 trace that result is a dim-768 trajectory, alive for nothing
+    # while dim 960 is built
+    class Rung:
+        def __init__(self, dim: int):
+            self.dim = dim
+
+    refs, alive = [], []
+
+    def builder(dim: int) -> Rung:
+        gc.collect()
+        alive.append([ref().dim for ref in refs if ref() is not None])
+        rung = Rung(dim)
+        refs.append(weakref.ref(rung))
+        return rung
+
+    rung, dim = converge_dim(builder, lambda r: min(r.dim, 32), lambda r: 0.0, start_dim=16)
+    assert (rung.dim, dim) == (48, 48)
+    assert alive == [[], [], []]
 
 
 def test_converge_dim_passes_nan_sentinels():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from kerrsense.fock import AUTO_DIM_RTOL, QuantumState, TruncationError, Truncat
 from kerrsense.harness import (
     CSV_COLUMNS,
     FIG1_TRACE_EPSILON,
+    FIG3_SNAPSHOTS,
+    SNAPSHOT_GRID,
     ScalingFit,
     ScalingFitError,
     SensitivityOrderingError,
@@ -858,6 +861,62 @@ def test_emit_unknown_format(tmp_path):
         emit(_fabricated_result(), tmp_path / "x.yaml", fmt="yaml")
 
 
+def _awkward_snapshot(name: str = "displaced") -> WignerSnapshot:
+    # non-square, with the floats whose repr is least regular
+    w = np.linspace(-1.0, 1.0, 9 * 13).reshape(9, 13) ** 3
+    w[0, 0], w[2, 5], w[4, 7], w[8, 12] = -0.0, 5e-324, 1e300, -2.5e-17
+    return WignerSnapshot(
+        name=name,
+        x_grid=np.linspace(-4.0, 4.0, 9),
+        p_grid=np.linspace(-6.0, 6.0, 13),
+        w=w,
+        phi_opt=-0.3,
+        theta_opt=1e-300,
+    )
+
+
+def test_emit_streams_snapshots_in_the_bytes_of_one_dumps(tmp_path):
+    snap = _awkward_snapshot()
+    keys = ("x_grid", "p_grid", "w", "phi_opt", "theta_opt")
+    values = (snap.x_grid.tolist(), snap.p_grid.tolist(), snap.w.tolist(), -0.3, 1e-300)
+    expected = (json.dumps(dict(zip(keys, values))) + "\n").encode()
+    fig3 = SweepResult(experiment="fig3", rows=[], snapshots=[snap])
+    written = emit(fig3, tmp_path / "echo.csv")
+    assert written == [tmp_path / "echo.csv", tmp_path / "echo_wigner_displaced.json"]
+    assert written[1].read_bytes() == expected
+    state = SweepResult(experiment="wigner", rows=[], snapshots=[snap])
+    assert emit(state, tmp_path / "state.json", fmt="json") == [tmp_path / "state.json"]
+    assert (tmp_path / "state.json").read_bytes() == expected
+
+
+def test_emit_memory_does_not_grow_with_the_snapshot(tmp_path):
+    # one json.dumps of a 201 x 201 grid holds ~5.6 MB of floats and strings;
+    # streamed, emit holds one row at a time
+    grid = SNAPSHOT_GRID
+    snaps = [
+        WignerSnapshot(name, grid.x_values, grid.p_values, w, 0.1, 0.2)
+        for name, w in zip(FIG3_SNAPSHOTS, np.random.default_rng(7).normal(size=(3, 201, 201)))
+    ]
+    result = SweepResult(experiment="fig3", rows=[], snapshots=snaps)
+    tracemalloc.start()
+    try:
+        emit(result, tmp_path / "echo.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+def test_emit_logs_one_debug_line_per_file(tmp_path, caplog):
+    with caplog.at_level(logging.DEBUG, logger="kerrsense.harness"):
+        written = emit(_fabricated_result(), tmp_path / "sweep.csv")
+    messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.harness"]
+    assert len(messages) == len(written) == 4
+    for path, message in zip(written, messages):
+        assert message.startswith(f"emit: wrote {path}, {path.stat().st_size} bytes in ")
+        assert message.endswith(" s")
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -954,6 +1013,49 @@ def test_cli_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch
     out = tmp_path / "absent" / "maps.csv"
     assert main(["fig2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_cli_output_directory_in_the_way_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def runner(*args, **kwargs):
+        raise AssertionError("the experiment ran before the output was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", runner)
+    for argv, blocked in [
+        (["fig2", "--out", "maps.csv"], "maps.csv"),
+        (["fig1", "--out", "traces.csv"], "traces_optima.csv"),
+        (["scaling", "--out", "series.csv"], "series_fits.json"),
+        (["fig3", "--format", "json", "--out", "echo.json"], "echo_wigner_reversed.json"),
+        (["wigner", "--out", "state.json"], "state.json"),
+    ]:
+        (tmp_path / blocked).mkdir()
+        argv[-1] = str(tmp_path / argv[-1])
+        assert main(argv) == 2
+        message = f"config error: [Errno 21] Is a directory: '{tmp_path / blocked}'\n"
+        assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--dim", "48"],
+        ["fig1", "--dim", "48", "--format", "json"],
+        ["scaling"],
+        ["fig3", "--dim", "32"],
+        ["fig3", "--dim", "32", "--format", "json"],
+        ["wigner", "--dim", "48"],
+    ],
+)
+def test_cli_output_paths_are_the_files_written(tmp_path, capsys, argv):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("kerr = 1\nepsilon = 2\ngamma = 0\nkt = 0.3, 0.4\n")
+    if argv[0] == "scaling":
+        cfg.write_text("epsilon = 1\n")
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    out = tmp_path / f"run.{fmt}"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [str(p) for p in harness.output_paths(argv[0], out, fmt)]
+    assert all(Path(p).is_file() for p in printed)
 
 
 def test_cli_rejects_unknown_experiment():
@@ -1055,10 +1157,12 @@ def test_cli_verbose_logs_to_stderr_and_leaves_the_csv_bytes(tmp_path, capsys):
         out = tmp_path / f"fig3{''.join(flags)}.csv"
         with pytest.warns(TruncationWarning):  # dim 16 is too small on purpose
             assert main(["fig3", "--config", str(cfg), "--dim", "16", "--out", str(out), *flags]) == 0
-        outputs.append(out.read_bytes())
-        errs.append(capsys.readouterr().err)
-    assert outputs[0] == outputs[1]
+        captured = capsys.readouterr()
+        outputs.append([Path(p).read_bytes() for p in captured.out.splitlines()])
+        errs.append(captured.err)
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]  # the CSV and three snapshots
     assert "lindblad: block" not in errs[0]
+    assert errs[1].count("kerrsense.harness: emit: wrote ") == 4
     assert "kerrsense.dynamics: lindblad: block 128 rows" in errs[1]
     # the handler goes again when main returns
     assert not any(isinstance(h, logging.StreamHandler) for h in logging.getLogger("kerrsense").handlers)
