@@ -3,14 +3,16 @@
 Everything lives on the number basis |0>, ..., |dim-1> as dense complex
 matrices.  sparse_annihilation is the one construction of the ladder
 operator a: the dense annihilation densifies it (creation, quadrature and
-displacement read that), and the ket-level apply_* helpers are products with
-it or its transpose.  Quadrature convention: X = (a + a^dag)/sqrt(2) and
+displacement read that), and apply_quadrature on raw kets multiplies by it
+and its transpose.  Quadrature convention: X = (a + a^dag)/sqrt(2) and
 P = -i(a - a^dag)/sqrt(2), so [X, P] = i away from the truncation edge and
 the vacuum has Var[X] = 1/2.
 
 A state enters every expectation through QuantumState.factor, W with
 rho = W W^dag (a ket is one column), one path for pure and mixed states; only
 ladder_moments keeps banded sums on the ket and on the diagonals of rho.
+from_density_matrix makes a mixed state's factor once, from the eigh that
+validates it, so a density matrix is decomposed once in its life.
 
 Truncation: constructors only validate.  check_tail judges a result's tail
 (the population of its top TAIL_FRACTION of levels), and at_dim, the entry
@@ -162,13 +164,14 @@ class QuantumState:
     they do not judge truncation (see check_tail).
     """
 
-    __slots__ = ("data", "dim", "kind")
+    __slots__ = ("data", "dim", "kind", "_factor")
 
-    def __init__(self, data: np.ndarray, kind: str, dim: int):
-        # internal; use the from_* constructors
+    def __init__(self, data: np.ndarray, kind: str, dim: int, factor: np.ndarray | None = None):
+        # internal; use the from_* constructors (a mixed state needs its factor)
         self.data = data
         self.kind = kind
         self.dim = dim
+        self._factor = factor
 
     @classmethod
     def from_ket(cls, vec) -> "QuantumState":
@@ -188,11 +191,18 @@ class QuantumState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
         m = (m + m.conj().T) / (2.0 * tr)
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < EIG_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} below {EIG_FLOOR}")
-        m.setflags(write=False)
-        return cls(m, "mixed", m.shape[0])
+        lam, vecs = np.linalg.eigh(m)
+        if lam[0] < EIG_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {lam[0]:.3e} below {EIG_FLOOR}")
+        # the factor keeps the eigenvalues above eigh's round-off, dim eps times
+        # their largest; eigh is exact on a diagonal rho, whose positive entries
+        # are all kept
+        diagonal = np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+        keep = lam > (0.0 if diagonal else lam[-1] * m.shape[0] * np.finfo(float).eps)
+        w = vecs[:, keep] * np.sqrt(lam[keep])
+        for arr in (m, w):
+            arr.setflags(write=False)
+        return cls(m, "mixed", m.shape[0], w)
 
     @classmethod
     def vacuum(cls, dim: int) -> "QuantumState":
@@ -263,15 +273,11 @@ class QuantumState:
         return float(tail_populations(self.populations()))
 
     def factor(self) -> np.ndarray:
-        """W with rho = W W^dag: the ket as one column, or V sqrt(lambda) on the
-        eigenvalues above eigh's round-off, dim eps times their largest; eigh is
-        exact on a diagonal rho, whose positive entries are all kept."""
+        """W with rho = W W^dag, read-only: the ket as one column, or the
+        V sqrt(lambda) that from_density_matrix made once."""
         if self.is_pure:
             return self.data[:, None]
-        lam, vecs = np.linalg.eigh(self.data)
-        diagonal = np.count_nonzero(self.data) == np.count_nonzero(np.diagonal(self.data))
-        keep = lam > (0.0 if diagonal else lam[-1] * self.dim * np.finfo(float).eps)
-        return vecs[:, keep] * np.sqrt(lam[keep])
+        return self._factor
 
     def purity(self) -> float:
         if self.is_pure:
@@ -468,23 +474,14 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# a, a^dag and M(theta) on raw kets, as products with sparse_annihilation.
-# No package code calls them; perfbench/spans.py traces apply_quadrature.
-
-
-def apply_annihilation(psi: np.ndarray) -> np.ndarray:
-    """a psi for a ket, or for each column of a block of kets."""
-    return sparse_annihilation(psi.shape[0]) @ psi
-
-
-def apply_creation(psi: np.ndarray) -> np.ndarray:
-    """a^dag psi for a ket, or for each column of a block of kets."""
-    return sparse_annihilation(psi.shape[0]).T @ psi
+# M(theta) on raw kets.  No package code calls it; perfbench/spans.py traces it.
 
 
 def apply_quadrature(psi: np.ndarray, theta: float) -> np.ndarray:
+    """M(theta) psi for a ket, or for each column of a block of kets."""
+    a = sparse_annihilation(psi.shape[0])
     phase = np.exp(-1j * theta)
-    return (phase * apply_annihilation(psi) + np.conj(phase) * apply_creation(psi)) / math.sqrt(2.0)
+    return (phase * (a @ psi) + np.conj(phase) * (a.T @ psi)) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

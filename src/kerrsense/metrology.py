@@ -16,8 +16,9 @@ Gamma. The method of moments (observables of polynomial order k) and the
 echo (quadratures after the reversal) are both this quotient, and both are
 solved by best_readout as the top eigenpair of the pencil (c^T c, Gamma) on
 the range of Gamma. Its two eigenproblems call LAPACK dsyevd directly
-(_eigh): the driver behind np.linalg.eigh, without numpy's dispatch. The
-QFI's small eigenproblems still call np.linalg.eigh.
+(_eigh): the routine behind np.linalg.eigh, without numpy's dispatch. The QFI
+reads the state's factor too (_qfi_matrix, the support-only formula), so
+no figure here decomposes a density matrix.
 
 Without loss the echo is perfect: the state psi = U_t|0> prepared for time t
 and reversed for the same time returns to |0> exactly, so the readout
@@ -31,14 +32,14 @@ symmetrised products) is built once per dim as one sparse CSR stack of nine
 dim x dim blocks, from products of the sparse ladder; the order-1 and
 order-2 bases are its leading blocks. A state enters, here as in fock,
 through its one entry QuantumState.factor, a square-root factor W with
-rho = W W^dag (a ket is one column; a density matrix gives V sqrt(lambda)
-from its eigendecomposition), so every <M_i M_j> table is one sparse
-product of W with the stack's leading blocks (a cached row slice per
-order) followed by a small Gram matrix, for pure and mixed states alike.
-The mixed-state QFI and the echo's kicks -i[G, rho] take X and P from the
-same stack. A basis is selected by its order alone;
-moment_basis densifies the leading blocks, uncached, for callers that want
-Operators, and no figure calls it.
+rho = W W^dag (a ket is one column; a density matrix gives V sqrt(lambda),
+made once by QuantumState.from_density_matrix), so every <M_i M_j> table is
+one sparse product of W with the stack's leading blocks (a cached row slice
+per order) followed by a small Gram matrix, for pure and mixed states
+alike. The QFI and the echo's kicks -i[G, rho] take X and P from the same
+stack. A basis is selected by its order alone; moment_basis densifies the
+leading blocks, uncached, for callers that want Operators, and no figure
+calls it.
 """
 from __future__ import annotations
 
@@ -59,14 +60,12 @@ from .fock import (
     check_dim,
     covariance_from_moments,
     ket_ladder_moments,
-    quadrature_covariance,
     sparse_annihilation,
     variance,
 )
 
 STANDARD_QUANTUM_LIMIT = 2.0
 DEGENERATE_VARIANCE = 1e-14
-QFI_EIG_CUTOFF = 1e-12
 GAMMA_RANGE_RTOL = 1e-13
 
 
@@ -157,63 +156,42 @@ def noisy_linear_sensitivity(state: QuantumState, noise: DetectionNoise) -> Sens
 # quantum Fisher information
 
 
-def qfi_pure(state: QuantumState, generator: Operator) -> float:
-    """F_Q = 4 Var[G] for a pure state."""
-    if not state.is_pure:
-        raise ValueError("qfi_pure requires a pure state")
-    if not generator.is_hermitian:
-        raise ValueError("qfi_pure requires a Hermitian generator")
-    return 4.0 * variance(state, generator)
+def _qfi_matrix(w: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """QFI matrix F_ij of the generators G_i from the state's factor W, whose
+    orthogonal columns w_k span the support of rho with weights lam_k = |w_k|^2,
+    and the products gw[i] = G_i W, shape (n, dim, columns).
 
-
-def _qfi_spectral_parts(state: QuantumState):
-    lam, vecs = np.linalg.eigh(state.density_matrix())
-    lam = np.clip(lam, 0.0, None)
-    s = lam[:, None] + lam[None, :]
-    d = lam[:, None] - lam[None, :]
-    w = np.zeros_like(s)
-    mask = s > QFI_EIG_CUTOFF
-    w[mask] = 2.0 * d[mask] ** 2 / s[mask]
-    return w, vecs
+    Support-only form (Liu et al., J. Phys. A 53, 023001 (2020)): with
+    A_i = W^dag G_i W, F_ij = 4 Re Tr[(G_i W)^dag (G_j W)]
+    - 8 Re sum_kl A_i,kl conj(A_j,kl) / (lam_k + lam_l); the kernel of rho
+    enters the first term by completeness, so no eigenvalue is cut.  One
+    column (a ket) gives 4 Cov[G_i, G_j].
+    """
+    n = gw.shape[0]
+    lam = np.sum(np.abs(w) ** 2, axis=0)
+    a = (w.conj().T @ gw).reshape(n, -1)
+    flat = gw.reshape(n, -1)
+    weighted = a / (lam[:, None] + lam).reshape(-1)
+    return 4.0 * (flat.conj() @ flat.T).real - 8.0 * (weighted @ a.conj().T).real
 
 
 def qfi_generator(state: QuantumState, generator: Operator) -> float:
-    """Spectral-decomposition QFI for a fixed generator (pure or mixed)."""
+    """QFI of a fixed Hermitian generator, pure or mixed (4 Var[G] on a ket)."""
     if not generator.is_hermitian:
         raise ValueError("qfi requires a Hermitian generator")
-    w, vecs = _qfi_spectral_parts(state)
-    g = vecs.conj().T @ generator.matrix @ vecs
-    return float(np.sum(w * np.abs(g) ** 2))
+    w = state.factor()
+    return float(_qfi_matrix(w, (generator.matrix @ w)[None])[0, 0])
 
 
-def qfi_mixed(state: QuantumState) -> SensitivityReport:
-    """Displacement QFI maximised over the generator direction.
-
-    Diagonalises the 2x2 matrix F_ij built from G_i in {X, P}; reduces to
-    4 * max quadrature variance for pure states.
-    """
-    w, vecs = _qfi_spectral_parts(state)
-    x_t, p_t = vecs.conj().T @ _basis_products(vecs, 2)  # X and P in the eigenbasis
-    f = np.empty((2, 2))
-    f[0, 0] = float(np.sum(w * np.abs(x_t) ** 2))
-    f[1, 1] = float(np.sum(w * np.abs(p_t) ** 2))
-    f[0, 1] = f[1, 0] = float(np.sum(w * (x_t * p_t.conj()).real))
-    evals, evecs = np.linalg.eigh(f)
+def qfi_max(state: QuantumState) -> SensitivityReport:
+    """Displacement QFI maximised over the generator direction: the top
+    eigenpair of the 2x2 QFI matrix of G_i in {X, P} (4 V_max on a ket)."""
+    w = state.factor()
+    evals, evecs = np.linalg.eigh(_qfi_matrix(w, _basis_products(w, 2)))
     n_opt = evecs[:, 1]
     return SensitivityReport(
         value=float(evals[1]), phi_opt=_angle_of(n_opt), n_opt=n_opt
     )
-
-
-def qfi_max(state: QuantumState) -> SensitivityReport:
-    """Direction-optimised displacement QFI; fast 4*V_max path for pure states."""
-    if state.is_pure:
-        evals, evecs = np.linalg.eigh(quadrature_covariance(state))
-        n_opt = evecs[:, 1]
-        return SensitivityReport(
-            value=4.0 * float(evals[1]), phi_opt=_angle_of(n_opt), n_opt=n_opt
-        )
-    return qfi_mixed(state)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from kerrsense.config import ExperimentConfig
 from kerrsense.dynamics import HamiltonianParams, LossParams
 from kerrsense.gaussian import GaussianState, from_free_squeezing
 from kerrsense.harness import evaluate_point, run_custom
-from kerrsense.metrology import QFI_EIG_CUTOFF, DetectionNoise, mai_sensitivity
+from kerrsense.metrology import DetectionNoise, mai_sensitivity
 
 
 def random_states(count: int, seed: int):
@@ -172,9 +172,8 @@ def test_state_validation():
 # vacuum stays Gaussian, and every figure follows from its (X, P) covariance
 
 ORACLE_RTOL = 1e-10
-# the mixed QFI drops eigenvalue pairs of rho whose sum is below
-# QFI_EIG_CUTOFF; here that moves f_q by a few cutoffs relative
-ORACLE_F_Q_RTOL = 10.0 * QFI_EIG_CUTOFF
+# f_q, the support-only QFI on the state's factor, holds tighter than that
+ORACLE_F_Q_RTOL = 2e-12
 
 
 def _lossy_covariance(a: np.ndarray, gamma: float, v0: np.ndarray, t: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kerrsense import dynamics, fock, gaussian, metrology
+from kerrsense import dynamics, fock, gaussian, harness, metrology
 from kerrsense.dynamics import HamiltonianParams, LossParams, evolve_lindblad, evolve_unitary
 from kerrsense.fock import Operator, QuantumState, quadrature
 from kerrsense.metrology import (
@@ -22,8 +22,6 @@ from kerrsense.metrology import (
     noisy_linear_sensitivity,
     qfi_generator,
     qfi_max,
-    qfi_mixed,
-    qfi_pure,
     sensitivity,
 )
 
@@ -33,6 +31,19 @@ def random_ket(dim: int, seed: int) -> QuantumState:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v *= np.exp(-((np.arange(dim) / (dim / 4.0)) ** 2))
     return QuantumState.from_ket(v / np.linalg.norm(v))
+
+
+def random_mixed(dim: int, seed: int, rank: int = 4) -> QuantumState:
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, size=rank)
+    w /= w.sum()
+    rho = np.zeros((dim, dim), dtype=complex)
+    for k in range(rank):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v *= np.exp(-((np.arange(dim) / (dim / 4.0)) ** 2))
+        v /= np.linalg.norm(v)
+        rho += w[k] * np.outer(v, v.conj())
+    return QuantumState.from_density_matrix(rho)
 
 
 def kerr_state(dim: int, delta: float, eps: float, kt: float) -> QuantumState:
@@ -111,16 +122,18 @@ def test_detection_noise_validation():
 
 
 def test_qfi_pure_is_four_variances():
+    # a ket is the factor's one-column case: F_Q = 4 Var[G], and the best
+    # direction gives 4 V_max
     state = random_ket(20, seed=5)
     g = quadrature(20, 1.3)
     expected = 4.0 * fock.variance(state, g)
-    assert abs(qfi_pure(state, g) - expected) < 1e-10
-    # the spectral route must agree on pure states
-    assert abs(qfi_generator(state, g) - expected) < 1e-8
-    with pytest.raises(ValueError, match="pure state"):
-        qfi_pure(QuantumState.thermal(20, 0.5), g)
+    assert abs(qfi_generator(state, g) - expected) < 1e-12 * expected
+    xp = (quadrature(20, 0.0), quadrature(20, math.pi / 2.0))
+    cov = np.array([[fock.covariance(state, a, b) for b in xp] for a in xp])
+    v_max = np.linalg.eigvalsh(cov)[1]
+    assert abs(qfi_max(state).value - 4.0 * v_max) < 4e-12 * v_max
     with pytest.raises(ValueError, match="Hermitian generator"):
-        qfi_pure(state, Operator(1j * g.matrix))
+        qfi_generator(state, Operator(1j * g.matrix))
 
 
 def test_qfi_max_squeezed_vacuum():
@@ -136,28 +149,91 @@ def test_qfi_max_scans_all_directions():
     state = kerr_state(80, delta=1.0, eps=2.0, kt=0.4)
     rep = qfi_max(state)
     best = max(
-        qfi_pure(state, quadrature(80, phi)) for phi in np.linspace(0.0, math.pi, 361)
+        qfi_generator(state, quadrature(80, phi)) for phi in np.linspace(0.0, math.pi, 361)
     )
     assert rep.value >= best - 1e-9
     assert rep.value <= best + 1e-3 * best
 
 
 def test_qfi_thermal_state():
-    # isotropic: F_Q = 2/(1+2 n_T) for every direction
-    n_th = 0.8
-    th = QuantumState.thermal(60, n_th)
-    expected = 2.0 / (1.0 + 2.0 * n_th)
-    assert abs(qfi_max(th).value - expected) < 1e-9
-    for phi in (0.0, 0.9):
-        assert abs(qfi_generator(th, quadrature(60, phi)) - expected) < 1e-9
+    # isotropic: F_Q = 2/(1+2 n_T) for every direction.  The factor keeps
+    # every level of the diagonal rho and no eigenvalue pair is cut, so this
+    # holds to round-off, not to a cutoff.
+    for n_th in (0.3, 0.8):
+        th = QuantumState.thermal(60, n_th)
+        expected = 2.0 / (1.0 + 2.0 * n_th)
+        assert abs(qfi_max(th).value - expected) < 1e-13 * expected
+        for phi in (0.0, 0.9):
+            assert abs(qfi_generator(th, quadrature(60, phi)) - expected) < 1e-13 * expected
 
 
 def test_qfi_mixed_agrees_with_pure_route():
+    # a ket and its density matrix: one column against the factor of rho
     state = kerr_state(60, delta=0.0, eps=2.0, kt=0.3)
     as_mixed = QuantumState.from_density_matrix(state.density_matrix())
     pure_val = qfi_max(state).value
-    mixed_val = qfi_mixed(as_mixed).value
-    assert abs(mixed_val - pure_val) < 1e-7 * pure_val
+    mixed_val = qfi_max(as_mixed).value
+    assert abs(mixed_val - pure_val) < 1e-10 * pure_val
+    g = quadrature(60, 0.4)
+    pure_g = qfi_generator(state, g)
+    assert abs(qfi_generator(as_mixed, g) - pure_g) < 1e-10 * pure_g
+
+
+def spectral_qfi_matrix(rho: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
+    """Reference QFI matrix from the eigendecomposition of rho:
+    F_ij = sum_kl 2 (l_k - l_l)^2 / (l_k + l_l) Re[(G_i)_kl (G_j)_lk], with
+    the pairs whose eigenvalue sum is below 1e-12 left out."""
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    s = lam[:, None] + lam
+    weight = np.zeros_like(s)
+    mask = s > 1e-12
+    weight[mask] = 2.0 * (lam[:, None] - lam)[mask] ** 2 / s[mask]
+    g_t = [vecs.conj().T @ g @ vecs for g in gens]
+    return np.array([[np.sum(weight * (gi * gj.conj()).real) for gj in g_t] for gi in g_t])
+
+
+def test_qfi_matches_the_spectral_sum_on_rho():
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    a *= np.exp(-((np.arange(16) / 6.0) ** 2))[:, None]
+    full_rank = QuantumState.from_density_matrix(a @ a.conj().T / np.trace(a @ a.conj().T))
+    for state, rank in ((full_rank, 16), (random_mixed(20, seed=9), 4)):
+        dim = state.dim
+        assert state.factor().shape == (dim, rank)
+        x, p = quadrature(dim, 0.0).matrix, quadrature(dim, math.pi / 2.0).matrix
+        f = spectral_qfi_matrix(state.density_matrix(), [x, p])
+        top = np.linalg.eigvalsh(f)[1]
+        assert abs(qfi_max(state).value - top) < 1e-12 * top
+        for phi in (0.0, 0.7, 2.2):
+            g = quadrature(dim, phi)
+            (expected,) = spectral_qfi_matrix(state.density_matrix(), [g.matrix])[0]
+            assert abs(qfi_generator(state, g) - expected) < 1e-12 * expected
+
+
+def test_a_density_matrix_is_decomposed_once(monkeypatch):
+    # from_density_matrix makes the factor from the eigh that validates rho;
+    # every figure of a lossy row then reads that factor
+    dim = 32
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    rho = evolve_lindblad(QuantumState.vacuum(dim), p, LossParams(0.1), 0.3).density_matrix()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a) == (dim, dim):
+            calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    state = QuantumState.from_density_matrix(rho)
+    assert len(calls) == 1
+    assert state.factor() is state.factor()
+    (row,) = harness._state_rows(
+        0.0, 2.0, 1.0, 0.1, 0.3, state, None, [0.0], with_k2=True, with_k3=True
+    )
+    assert len(calls) == 1
+    assert row.chi2inv_3 is not None and row.f_q == qfi_max(state).value
 
 
 def test_qfi_generator_matches_fidelity_susceptibility():
@@ -620,5 +696,5 @@ def test_mai_lossy_respects_cramer_rao():
     loss = LossParams(0.1)
     rep = mai_sensitivity(p, 0.3, loss=loss, dim=48)
     rho = evolve_lindblad(QuantumState.vacuum(48), p, loss, 0.3)
-    assert 0.0 < rep.value <= qfi_mixed(rho).value + 1e-6
+    assert 0.0 < rep.value <= qfi_max(rho).value + 1e-6
 
