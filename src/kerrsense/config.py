@@ -36,6 +36,22 @@ EXPERIMENTS = ("fig1", "fig2", "fig3", "scaling", "loss-robustness", "custom", "
 # Presets where K scales the Hamiltonian and all parameters are quoted per K.
 _UNIT_KERR_EXPERIMENTS = ("fig2", "fig3", "scaling", "loss-robustness")
 
+# How each experiment reads the grid axes.  An axis it never reads must keep
+# its preset value, and one of which it reads only the first value must hold
+# one value; every other axis is swept in full (custom sweeps them all).
+_UNREAD_AXES = {
+    "fig1": ("gamma", "sigma2"),
+    "scaling": ("gamma", "sigma2"),
+    "wigner": ("sigma2",),
+}
+_FIRST_VALUE_AXES = {
+    "fig2": ("kerr", "gamma", "kt", "sigma2"),
+    "fig3": ("delta", "epsilon", "kerr", "sigma2"),
+    "scaling": ("kerr",),
+    "loss-robustness": ("delta", "epsilon", "kerr", "sigma2"),
+    "wigner": ("delta", "epsilon", "kerr", "gamma", "kt"),
+}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -71,6 +87,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment '{self.experiment}' sweeps parameters per unit K; kerr must be > 0"
             )
+        for key in _UNREAD_AXES.get(self.experiment, ()):
+            preset = _DEFAULTS[self.experiment][key]
+            if getattr(self, key) != preset:
+                raise ConfigError(
+                    f"experiment '{self.experiment}' does not read '{key}'; "
+                    f"it must keep its preset value {', '.join(map(repr, preset))}"
+                )
+        for key in _FIRST_VALUE_AXES.get(self.experiment, ()):
+            if len(getattr(self, key)) > 1:
+                raise ConfigError(
+                    f"experiment '{self.experiment}' reads one '{key}' value, "
+                    f"got {len(getattr(self, key))}"
+                )
         # scaling and loss-robustness read neighbouring kt entries as neighbouring times
         increasing = list(self.kt) == sorted(set(self.kt))
         if self.experiment in ("scaling", "loss-robustness") and not increasing:

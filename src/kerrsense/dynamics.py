@@ -8,9 +8,9 @@ H changes the photon number by 0 or +-2, so it never mixes the even Fock
 levels (0, 2, 4, ...) with the odd ones, and on each of these photon-parity
 sectors it is a real symmetric tridiagonal matrix.  Unitary evolution goes
 through the exact spectral decomposition of each sector (one call of the
-LAPACK tridiagonal eigensolver dstevd, cached and reused across times) and
-propagates the even and odd rows of a state separately; the vacuum never
-leaves the even sector.
+LAPACK tridiagonal eigensolver dstevd, cached and reused across times), in
+one kernel (_phased) behind propagate, fock_kets and the V_min slope, for the
+even and odd rows of a state separately; the vacuum never leaves the even sector.
 Dissipative evolution under the jump operator sqrt(gamma) * a applies exp(L t)
 for the vectorised Liouvillian L, which never mixes entries rho_ij of unlike
 (i + j) parity: its two half-size sparse blocks are built once per (dim, H,
@@ -132,30 +132,33 @@ def eigensystem(dim: int, p: HamiltonianParams, parity: int = 0):
     return _eigensystem(check_dim(dim), p.delta, p.epsilon, p.kerr, parity)
 
 
-def _real_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for real a and complex b, as one real GEMM on [Re b, Im b]."""
-    cols = b.reshape(b.shape[0], -1)
-    k = cols.shape[1]
-    out = a @ np.concatenate([cols.real, cols.imag], axis=1)
-    return (out[:, :k] + 1j * out[:, k:]).reshape((a.shape[0],) + b.shape[1:])
+def _phased(evals: np.ndarray, evecs: np.ndarray, re, im, t, out: np.ndarray) -> None:
+    """out[:, j] = V exp(-i lambda t_j) (re + i im)[:, j] on a sector's eigenpairs
+    (lambda, V), one time per column: one real GEMM V [C re + S im | C im - S re] with
+    C, S = cos, sin(lambda t^T); the real re and im broadcast to out's shape."""
+    wt = evals[:, None] * t
+    cos, sin = np.cos(wt), np.sin(wt)
+    half = evecs @ np.concatenate([cos * re + sin * im, cos * im - sin * re], axis=1)
+    out.real, out.imag = half[:, : wt.shape[1]], half[:, wt.shape[1] :]
 
 
-def propagate(x, p: HamiltonianParams, t: float) -> np.ndarray:
-    """exp(-i H t) applied to a ket or to the columns of a (dim, k) block.
-
-    The even and odd rows propagate in their own parity sector; a sector
-    whose rows are all zero is skipped, so the vacuum never needs the odd one.
-    """
+def propagate(x, p: HamiltonianParams, t) -> np.ndarray:
+    """exp(-i H t) applied to a ket or to the columns of a (dim, ...) block, at
+    one time t or one per column (t broadcasts over x.shape[1:]).  The even and
+    odd rows propagate in their own sector (_phased of V^T x); a sector whose
+    rows are all zero is skipped, so the vacuum never needs the odd one."""
     x = np.asarray(x, dtype=complex)
-    out = np.zeros_like(x)
+    cols = x.reshape(x.shape[0], -1)
+    times = np.broadcast_to(np.asarray(t, dtype=float), x.shape[1:]).reshape(-1)
+    out = np.zeros_like(cols)
     for parity in (0, 1):
-        rows = x[parity::2]
+        rows = cols[parity::2]
         if not rows.any():
             continue
         evals, evecs = eigensystem(x.shape[0], p, parity)
-        phases = np.exp(-1j * evals * t).reshape((-1,) + (1,) * (x.ndim - 1))
-        out[parity::2] = _real_gemm(evecs, phases * _real_gemm(evecs.T, rows))
-    return out
+        coeffs = evecs.T @ np.concatenate([rows.real, rows.imag], axis=1)
+        _phased(evals, evecs, *np.split(coeffs, 2, axis=1), times, out[parity::2])
+    return out.reshape(x.shape)
 
 
 def propagator(dim: int, p: HamiltonianParams, t: float) -> Operator:
@@ -170,13 +173,15 @@ def _checked(states: list[QuantumState]) -> list[QuantumState]:
 
 
 def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> QuantumState:
-    """U W, U = exp(-i H t), for the state's factor W; negative t reverses it."""
+    """The state with factor U W, U = exp(-i H t), for its factor W; negative t reverses it."""
     w = propagate(state.factor(), p, t)
     if state.is_pure:
-        out = QuantumState.from_ket(w)
-    else:
-        out = QuantumState.from_density_matrix(w @ w.conj().T)
-    return _checked([out])[0]
+        return _checked([QuantumState.from_ket(w)])[0]
+    rho = w @ w.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    for arr in (rho, w):
+        arr.setflags(write=False)
+    return _checked([QuantumState(rho, "mixed", state.dim, w)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +458,9 @@ def fock_kets(p: HamiltonianParams, t_grid, dim: int, level: int = 0) -> np.ndar
     """exp(-i H t)|level> for every time of t_grid, as the columns of a block;
     level 0 is the vacuum.
 
-    One real GEMM in the sector of the level's parity, V (cos(w t^T) c |
-    -sin(w t^T) c) with c = V[level // 2] the level's eigenbasis components;
-    every column gets the checks of from_ket (fock.normalized_kets) and is
-    normalised.
+    One _phased product in the sector of the level's parity, of the level's
+    real eigenbasis components c = V[level // 2]; every column gets the
+    checks of from_ket (fock.normalized_kets) and is normalised.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -466,11 +470,8 @@ def fock_kets(p: HamiltonianParams, t_grid, dim: int, level: int = 0) -> np.ndar
         raise ValueError(f"Fock level {level} outside 0..{dim - 1}")
     parity = level % 2
     evals, evecs = eigensystem(dim, p, parity)
-    wt = evals[:, None] * t_grid
-    c = evecs[level // 2][:, None]
-    half = evecs @ np.concatenate([np.cos(wt) * c, -np.sin(wt) * c], axis=1)
     kets = np.zeros((dim, t_grid.size), dtype=complex)
-    kets[parity::2] = half[:, : t_grid.size] + 1j * half[:, t_grid.size :]
+    _phased(evals, evecs, evecs[level // 2][:, None], 0.0, t_grid, kets[parity::2])
     return normalized_kets(kets)
 
 
@@ -535,13 +536,15 @@ def _vmin_slope(p: HamiltonianParams, times, dim: int) -> np.ndarray:
     """Exact dV_min/dt of the vacuum at each of the times, all of them > 0.
 
     The vacuum stays in the even sector, so <a> = 0 and V_min = 1/2 + <n> -
-    |<a^2>|.  psi and dpsi/dt = -i H psi come from one real GEMM on the cached
-    eigensystem, and d<O>/dt = <dpsi|O psi> + <psi|O dpsi>.  At t = 0 <a^2> = 0
-    and |<a^2>| has a kink, so that time is left out.
+    |<a^2>|.  psi and dpsi/dt = -i H psi are one _phased product of the vacuum's
+    components c and -i lambda c, and d<O>/dt = <dpsi|O psi> + <psi|O dpsi>.
+    At t = 0 <a^2> = 0 and |<a^2>| has a kink, so that time is left out.
     """
     evals, evecs = eigensystem(dim, p)
-    phases = np.exp(-1j * np.outer(evals, times)) * evecs[0][:, None]
-    both = _real_gemm(evecs, np.hstack([phases, -1j * evals[:, None] * phases]))
+    c, psi_cols = evecs[0][:, None], np.repeat([1.0, 0.0], len(times))
+    both = np.empty((c.size, psi_cols.size), dtype=complex)
+    _phased(evals, evecs, c * psi_cols, -evals[:, None] * c * (1.0 - psi_cols),
+            np.tile(times, 2), both)
     psi, dpsi = np.split(both, 2, axis=1)
     n = np.arange(0.0, psi.shape[0] * 2.0, 2.0)[:, None]  # row k is level 2k
     sq2 = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))  # <2k| a^2 |2k + 2>

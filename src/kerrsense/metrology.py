@@ -389,9 +389,9 @@ def _mai_operator_route(
     time is perfect, phi = |0>: cov = I/2 and, as M_j|0> = c_j|1>,
     r = -sqrt(2) [[Im z_X, Re z_X], [Im z_P, Re z_P]] with the overlaps
     z_i = <G_i psi|U_t|1>, where U_t|1> for every time is one GEMM in the odd
-    sector (dynamics.fock_kets) and psi is never propagated back.  Only
-    mai_sensitivity(reversal_time=...) reverses for another time; then phi is
-    dynamics.fock_kets at t - tau and M_j phi propagates for tau.
+    sector (dynamics.fock_kets) and psi is never propagated back.  Any other
+    reversal time takes phi from dynamics.fock_kets at t - tau, and one
+    dynamics.propagate call moves every M_j phi by its own tau.
     """
     dim = kets.shape[0]
     shifts = np.asarray(times, dtype=float) - np.asarray(reversal_times, dtype=float)
@@ -402,10 +402,7 @@ def _mai_operator_route(
     else:
         phi = dynamics.fock_kets(p, shifts, dim)
         kicked = _basis_products(phi, 2)  # (X phi, P phi)
-        echoed = np.stack(
-            [dynamics.propagate(kicked[:, :, k].T, p, tau) for k, tau in enumerate(reversal_times)],
-            axis=-1,
-        )
+        echoed = dynamics.propagate(kicked.transpose(1, 0, 2), p, reversal_times)
         covs = covariance_from_moments(*ket_ladder_moments(phi))
     # r[k, i, j] = -2 Im <G_i psi_k|echoed[:, j, k]>
     g_psi = _basis_products(kets, 2).transpose(2, 0, 1)

@@ -173,3 +173,40 @@ def test_serialize_round_trip():
         "kt = 0:0.6:7\nsigma2 = 0,0.5\noutput = out.csv\n", experiment="custom"
     )
     assert parse_config(serialize_config(custom)) == custom
+
+
+# per experiment: the axes it never reads, and those it reads one value of
+AXIS_READS = {
+    "fig1": ({"gamma", "sigma2"}, set()),
+    "fig2": (set(), {"kerr", "gamma", "kt", "sigma2"}),
+    "fig3": (set(), {"delta", "epsilon", "kerr", "sigma2"}),
+    "scaling": ({"gamma", "sigma2"}, {"kerr"}),
+    "loss-robustness": (set(), {"delta", "epsilon", "kerr", "sigma2"}),
+    "custom": (set(), set()),
+    "wigner": ({"sigma2"}, {"delta", "epsilon", "kerr", "gamma", "kt"}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(AXIS_READS))
+def test_config_values_an_experiment_would_drop_are_rejected(experiment):
+    # an unread axis may only restate its preset, an axis read at its first
+    # value holds one value, and every other axis takes a list
+    unread, first_only = AXIS_READS[experiment]
+    assert set(AXIS_READS) == set(EXPERIMENTS)
+
+    def parse(key, value):
+        kt = "kt = 0.5\n" if experiment == "custom" and key != "kt" else ""
+        return parse_config(f"{key} = {value}\n{kt}", experiment=experiment)
+
+    for key in GRID_KEYS:
+        if key in unread:
+            with pytest.raises(ConfigError, match=f"does not read '{key}'"):
+                parse(key, "0.25")
+            preset = default_config(experiment).axis(key)
+            assert parse(key, ", ".join(map(repr, preset))).axis(key) == preset
+        elif key in first_only:
+            with pytest.raises(ConfigError, match=f"reads one '{key}' value, got 2"):
+                parse(key, "0.25, 0.5")
+            assert parse(key, "0.25").axis(key) == (0.25,)
+        else:
+            assert parse(key, "0.25, 0.5").axis(key) == (0.25, 0.5)

@@ -144,6 +144,36 @@ def test_sector_propagation_matches_expm(ket):
     np.testing.assert_allclose(propagate(ket, SECTOR_PARAMS, t), u @ ket, rtol=0, atol=1e-12)
     block = np.stack([ket, np.roll(ket, 1)], axis=1)
     np.testing.assert_allclose(propagate(block, SECTOR_PARAMS, t), u @ block, rtol=0, atol=1e-12)
+    # one time per column, negative ones included, each column against its own expm
+    times = [0.3, -0.45]
+    evolved = propagate(block, SECTOR_PARAMS, times)
+    for k, tk in enumerate(times):
+        expected = _dense_propagator(SECTOR_DIM, SECTOR_PARAMS, tk) @ block[:, k]
+        np.testing.assert_allclose(evolved[:, k], expected, rtol=0, atol=1e-12)
+
+
+def test_mixed_unitary_evolution_keeps_the_factor(monkeypatch):
+    # U W is the evolved state's factor: no dim x dim eigh rebuilds it
+    p = HamiltonianParams(delta=0.0, epsilon=2.0, kerr=1.0)
+    state = evolve_lindblad(QuantumState.vacuum(SECTOR_DIM), p, LossParams(0.1), 0.3)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a) == (SECTOR_DIM, SECTOR_DIM):
+            calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    t = 0.4
+    evolved = evolve_unitary(state, SECTOR_PARAMS, t)
+    assert calls == []
+    u = _dense_propagator(SECTOR_DIM, SECTOR_PARAMS, t)
+    np.testing.assert_allclose(evolved.factor(), u @ state.factor(), rtol=0, atol=1e-12)
+    rho = evolved.density_matrix()
+    assert np.array_equal(rho, rho.conj().T)
+    expected = u @ state.density_matrix() @ u.conj().T
+    np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-12)
 
 
 def test_sector_propagation_of_thermal_density_matrix():

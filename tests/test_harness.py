@@ -238,8 +238,10 @@ def test_auto_dim_rejected_dims_do_not_warn(monkeypatch):
 
 def test_lossless_point_never_propagates_its_state_back(monkeypatch, caplog):
     # the echo of a lossless row is the perfect-echo overlap <G psi|U_t|1>:
-    # the prepared ket is not propagated back, and every rung solves each
-    # parity sector once (the vacuum's even one, U_t|1>'s odd one)
+    # the prepared ket is not propagated back (propagate is never called, and
+    # fock_kets, which makes both the vacuum's and U_t|1>'s kets, sees no
+    # negative time), and every rung solves each parity sector once (the
+    # vacuum's even one, U_t|1>'s odd one)
     solve = dynamics._eigensystem.__wrapped__
     solved = []
 
@@ -248,21 +250,25 @@ def test_lossless_point_never_propagates_its_state_back(monkeypatch, caplog):
         return solve(dim, delta, epsilon, kerr, parity)
 
     monkeypatch.setattr(dynamics, "_eigensystem", functools.lru_cache(maxsize=32)(counted))
-    propagate = dynamics.propagate
+    fock_kets = dynamics.fock_kets
     times = []
 
-    def traced(x, p, t, density=False):
-        times.append(t)
-        return propagate(x, p, t, density)
+    def traced(p, t_grid, dim, level=0):
+        times.extend(np.ravel(t_grid))
+        return fock_kets(p, t_grid, dim, level)
 
-    monkeypatch.setattr(dynamics, "propagate", traced)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a lossless row propagated a state")
+
+    monkeypatch.setattr(dynamics, "fock_kets", traced)
+    monkeypatch.setattr(dynamics, "propagate", unreachable)
     with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
         row = evaluate_point(1.3, 2.1, 1.0, 0.0, 0.5, with_k2=True, with_k3=True)
     tried = [r.getMessage().split()[3] for r in caplog.records if "tried dim" in r.getMessage()]
     rungs = [int(d.rstrip(",")) for d in tried]
     assert len(rungs) == 2 and rungs[-1] == row.dim
     assert sorted(solved) == [(d, parity) for d in rungs for parity in (0, 1)]
-    assert not [t for t in times if t < 0.0]
+    assert times and min(times) >= 0.0
     assert row.chi2inv_1 <= row.chi2inv_mai <= row.f_q
 
 
@@ -612,9 +618,10 @@ def test_group_is_one_pass_per_dim(monkeypatch, experiment):
     kt = (0.5, 0.0, 0.6, 0.5, 0.35)
     if experiment == "loss-robustness":
         kt = tuple(sorted(set(kt)))
-    cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.0, 0.1), kt, (0.0, 0.5))
+    # fig3 and loss-robustness read one sigma2, custom sweeps two
+    sigma2s = (0.0, 0.5) if experiment == "custom" else (0.0,)
+    cfg = ExperimentConfig(experiment, (0.0,), (0.5,), (1.0,), (0.0, 0.1), kt, sigma2s)
     flags = {"with_k2": True} if experiment == "custom" else {}
-    sigma2s = cfg.sigma2 if experiment == "custom" else cfg.sigma2[:1]
     recorded = _recording_group_pass(monkeypatch)
     result = GROUP_RUNNERS[experiment](cfg)
     # loss-robustness adds one pass over its parabolic vertices; the grid
@@ -1005,6 +1012,28 @@ def test_cli_unordered_time_axis_is_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("fig1", "gamma = 0.1\nsigma2 = 0.5\n", "does not read 'gamma'"),
+        ("fig2", "kt = 0.3, 0.5\nkerr = 1, 2\n", "reads one 'kerr' value, got 2"),
+    ],
+)
+def test_cli_config_values_the_experiment_would_drop_are_exit_2(
+    tmp_path, monkeypatch, capsys, name, text, message
+):
+    def runner(*args, **kwargs):
+        raise AssertionError("the experiment ran on a config it would partly ignore")
+
+    monkeypatch.setattr(harness, "run_experiment", runner)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / f"{name}.csv"
+    assert main([name, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
     def runner(*args, **kwargs):
         raise AssertionError("the experiment ran before the output was checked")
@@ -1050,6 +1079,8 @@ def test_cli_output_paths_are_the_files_written(tmp_path, capsys, argv):
     cfg.write_text("kerr = 1\nepsilon = 2\ngamma = 0\nkt = 0.3, 0.4\n")
     if argv[0] == "scaling":
         cfg.write_text("epsilon = 1\n")
+    elif argv[0] == "wigner":  # one state: one value of each axis
+        cfg.write_text("kerr = 1\nepsilon = 2\ngamma = 0\nkt = 0.3\n")
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
     out = tmp_path / f"run.{fmt}"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0

@@ -574,18 +574,18 @@ def test_echo_responses_reject_mismatched_lengths(gamma):
             metrology.echo_responses(states, p, loss, times, reversal_times)
 
 
-@pytest.mark.parametrize("reversal_time", [0.5, 0.35, 0.8])
-def test_lossless_echo_matches_dense_oracle(reversal_time):
-    # the perfect-echo overlaps (reversal_time = t) and the reversed state
-    # U_(t - tau)|0> (tau != t) against dense expm: the response
-    # r[i, j] = i <psi|[G_i, U_tau M_j U_tau^dag]|psi> = d<M_j>/dd to the
-    # kick exp(-i d G_i), and the covariance of U_tau^dag psi
-    dim, t, sigma2 = 24, 0.5, 0.3
-    p = HamiltonianParams(delta=0.4, epsilon=0.3, kerr=0.5)
-    h = dynamics.hamiltonian(dim, p).matrix
+ECHO_DIM = 24
+ECHO_PARAMS = HamiltonianParams(delta=0.4, epsilon=0.3, kerr=0.5)
+
+
+def _dense_lossless_echo(t: float, reversal_time: float):
+    """psi = exp(-i H t)|0> and its echo from dense expm: the response
+    r[i, j] = i <psi|[G_i, U_tau M_j U_tau^dag]|psi> = d<M_j>/dd to the kick
+    exp(-i d G_i), and the covariance of U_tau^dag psi."""
+    h = dynamics.hamiltonian(ECHO_DIM, ECHO_PARAMS).matrix
     psi = scipy.linalg.expm(-1j * h * t)[:, 0]
     u_tau = scipy.linalg.expm(-1j * h * reversal_time)
-    quads = [fock.position(dim).matrix, fock.momentum(dim).matrix]
+    quads = [fock.position(ECHO_DIM).matrix, fock.momentum(ECHO_DIM).matrix]
     phi = u_tau.conj().T @ psi
     means = [np.vdot(phi, m @ phi).real for m in quads]
     cov = np.array(
@@ -594,6 +594,15 @@ def test_lossless_echo_matches_dense_oracle(reversal_time):
     )
     evolved = [u_tau @ m @ u_tau.conj().T for m in quads]
     r = np.array([[(1j * np.vdot(psi, (g @ a - a @ g) @ psi)).real for a in evolved] for g in quads])
+    return psi, r, cov
+
+
+@pytest.mark.parametrize("reversal_time", [0.5, 0.35, 0.8])
+def test_lossless_echo_matches_dense_oracle(reversal_time):
+    # the perfect-echo overlaps (reversal_time = t) and the reversed state
+    # U_(t - tau)|0> (tau != t) against dense expm
+    dim, t, sigma2, p = ECHO_DIM, 0.5, 0.3, ECHO_PARAMS
+    psi, r, cov = _dense_lossless_echo(t, reversal_time)
     ((got_r, got_cov),) = metrology._mai_operator_route(psi[:, None], p, [t], [reversal_time])
     np.testing.assert_allclose(got_r, r, rtol=0, atol=1e-12 * np.abs(r).max())
     np.testing.assert_allclose(got_cov, cov, rtol=0, atol=1e-13)
@@ -603,6 +612,20 @@ def test_lossless_echo_matches_dense_oracle(reversal_time):
     got = mai_sensitivity(p, t, noise=DetectionNoise(sigma2), reversal_time=reversal_time, dim=dim)
     assert abs(got.value - expected.value) < 1e-12 * expected.value
     assert abs(got.theta_opt - expected.theta_opt) % math.pi < 1e-9
+
+
+def test_lossless_echo_group_matches_dense_oracle():
+    # a group's reversed kicks propagate in one call, each column for its own
+    # reversal time, above, below and at its state's time
+    times = [0.5, 0.3, 0.7, 0.45]
+    reversal_times = [0.35, 0.6, 0.9, 0.45]
+    oracles = [_dense_lossless_echo(t, tau) for t, tau in zip(times, reversal_times)]
+    states = [QuantumState.from_ket(psi) for psi, _, _ in oracles]
+    got = metrology.echo_responses(states, ECHO_PARAMS, LossParams(0.0), times, reversal_times)
+    assert len(got) == len(times)
+    for (got_r, got_cov), (_, r, cov) in zip(got, oracles):
+        np.testing.assert_allclose(got_r, r, rtol=0, atol=1e-12 * np.abs(r).max())
+        np.testing.assert_allclose(got_cov, cov, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("reversal_time", [0.5, 0.35])
