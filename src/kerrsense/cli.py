@@ -4,8 +4,9 @@ Each subcommand names an experiment; flags control input config, output
 location/format, and Fock dimension policy; -v prints the package's DEBUG
 log lines to stderr.  --threads is accepted (>= 1) but has no effect: every
 experiment, and every BLAS call in it, runs in the calling thread, since
-importing the package pins OpenBLAS to one thread.  Exit codes: 0 success,
-1 computation error, 2 configuration error.
+importing the package pins OpenBLAS to one thread.  --with-k3 exists only on
+the experiments with a chi2inv_3 column (fig2, fig3, custom).  Exit codes:
+0 success, 1 computation error, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dynamics import NoInteriorMinimumError
 from .fock import TruncationError
 
 _EXPERIMENT_HELP = {
-    "fig1": "V_min(t) traces over kerr plus the optimal-squeezing table",
+    "fig1": "V_min(t) traces over delta and kerr plus the optimal-squeezing table",
     "fig2": "sensitivity maps over (delta, epsilon) at fixed Kt",
     "fig3": "sensitivities vs Kt per loss rate, with Wigner snapshots",
     "scaling": "F_Q(N) series and slope fits per epsilon",
@@ -64,12 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility (must be >= 1); has no effect: "
             "everything, BLAS included, runs in one thread",
         )
-        sp.add_argument(
-            "--with-k3",
-            action="store_true",
-            dest="with_k3",
-            help="also compute the third-order moment sensitivity column",
-        )
+        if name in harness.WITH_K3_EXPERIMENTS:
+            sp.add_argument(
+                "--with-k3",
+                action="store_true",
+                dest="with_k3",
+                help="also compute the third-order moment sensitivity column",
+            )
         sp.add_argument(
             "-v",
             "--verbose",
@@ -120,7 +122,7 @@ def main(argv=None) -> int:
         for path in harness.output_paths(cfg.experiment, out, args.format):
             if path.is_dir():  # emit could not write it, and only after the run
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        result = harness.run_experiment(cfg, dim=dim, with_k3=args.with_k3)
+        result = harness.run_experiment(cfg, dim=dim, with_k3=getattr(args, "with_k3", False))
         written = harness.emit(result, out, fmt=args.format)
         for path in written:
             print(path)

@@ -19,7 +19,9 @@ with it); without loss the echo needs U_t|1> at the same times, one more
 GEMM, and under loss the echo readouts evolve once backwards.  Its
 dimension climbs over whole passes, judged by the row at the largest Kt,
 where the state support is widest, and the tail of all its rows.  A single
-point is the one-point group.
+point is the one-point group.  fig2, fig3, loss-robustness and custom take
+their rows from one sweep (_sweep): every (delta, epsilon, kerr, gamma)
+group of the config in axis order, fig2 being its one-point case.
 Every row keeps the state its figures came from (SweepRow.state), so the
 Wigner snapshots read the state of a row instead of evolving it again.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -57,6 +60,7 @@ __all__ = [
     "SensitivityOrderingError",
     "SweepResult",
     "SweepRow",
+    "WITH_K3_EXPERIMENTS",
     "WignerSnapshot",
     "emit",
     "evaluate_point",
@@ -89,7 +93,7 @@ CSV_COLUMNS = [
     "status",
 ]
 
-FIG1_TRACE_EPSILON = 2.0  # the V_min(t) traces fix epsilon and sweep kerr
+FIG1_TRACE_EPSILON = 2.0  # the V_min(t) traces fix epsilon and sweep delta and kerr
 FIG1_OPTIMA_KERR = 1.0  # the optimal-squeezing table is quoted per unit K
 
 SNAPSHOT_KT = 0.4
@@ -336,22 +340,15 @@ def _group_dim(
     )
 
 
-def _group_rows(
-    delta: float,
-    epsilon: float,
-    kerr: float,
-    gamma: float,
-    kt_values,
-    sigma2s,
-    dim: int | None,
-    **flags,
-) -> list[SweepRow]:
-    """The rows kt_values x sigma2s (sigma2 fastest) of one parameter group,
-    one pass per dimension; with dim=None the rows share the converged one."""
-    if len(kt_values) * len(sigma2s) == 1:  # evaluate_point runs the same one-point pass
-        (kt,), (sigma2,) = kt_values, sigma2s
-        return [evaluate_point(delta, epsilon, kerr, gamma, kt, sigma2, dim=dim, **flags)]
-    return _group_dim(delta, epsilon, kerr, gamma, kt_values, sigma2s, dim, **flags)
+def _sweep(cfg: ExperimentConfig, dim: int | None, **flags) -> list[list[SweepRow]]:
+    """The rows of every (delta, epsilon, kerr, gamma) group of cfg, one list
+    per group in axis order, each kt x sigma2 (sigma2 fastest); with dim=None
+    each group climbs to its own converged dimension (see _group_dim)."""
+    groups = itertools.product(cfg.delta, cfg.epsilon, cfg.kerr, cfg.gamma)
+    if len(cfg.kt) * len(cfg.sigma2) == 1:  # one evaluate_point call per row, as traced
+        (kt,), (sigma2,) = cfg.kt, cfg.sigma2
+        return [[evaluate_point(*group, kt, sigma2, dim=dim, **flags)] for group in groups]
+    return [_group_dim(*group, cfg.kt, cfg.sigma2, dim, **flags) for group in groups]
 
 
 def _map(fn, items) -> list:
@@ -363,23 +360,22 @@ def _map(fn, items) -> list:
 # experiment runners
 
 
-def run_fig1(cfg: ExperimentConfig, dim: int | None = None, **_ignored) -> SweepResult:
-    """V_min(t) traces over the kerr axis plus an optimal-squeezing table.
+def run_fig1(cfg: ExperimentConfig, dim: int | None = None) -> SweepResult:
+    """V_min(t) traces per delta and Kerr strength plus an optimal-squeezing table.
 
-    Traces fix (delta, epsilon) = (delta[0], 2) and sweep kerr x kt; the
+    Traces fix epsilon = 2 and sweep delta x kerr x kt (delta slowest); the
     optima table sweeps the epsilon axis (per unit K) at each delta, reporting
     chi^-2_opt = 1/V_min(t_opt) with kt = K t_opt in the kt column.
     """
     rows: list[SweepRow] = []
-    delta0 = cfg.delta[0]
-    for kerr in cfg.kerr:
-        p = HamiltonianParams(delta=delta0, epsilon=FIG1_TRACE_EPSILON, kerr=kerr)
+    for delta, kerr in itertools.product(cfg.delta, cfg.kerr):
+        p = HamiltonianParams(delta=delta, epsilon=FIG1_TRACE_EPSILON, kerr=kerr)
         t_grid = np.array([_time_of(kerr, kt) for kt in cfg.kt])
         trace = dynamics.squeezing_trace(p, t_grid, dim=dim)
         for i, kt in enumerate(cfg.kt):
             rows.append(
                 SweepRow(
-                    delta=delta0,
+                    delta=delta,
                     epsilon=FIG1_TRACE_EPSILON,
                     kerr=kerr,
                     gamma=0.0,
@@ -422,20 +418,10 @@ def run_fig2(
     with_k3: bool = False,
 ) -> SweepResult:
     """Sensitivity maps over (delta, epsilon) at fixed Kt."""
-    kerr = cfg.kerr[0]
-    gamma = cfg.gamma[0]
-    kt = cfg.kt[0]
-    sigma2 = cfg.sigma2[0]
-
-    def job(point: tuple[float, float]) -> SweepRow:
-        d, eps = point
-        row = evaluate_point(d, eps, kerr, gamma, kt, sigma2, dim=dim, with_k3=with_k3)
+    rows = [row for group in _sweep(cfg, dim, with_k3=with_k3) for row in group]
+    for row in rows:
         if row.f_q:
             row.gap = (row.f_q - row.chi2inv_1) / row.f_q
-        return row
-
-    points = [(d, eps) for d in cfg.delta for eps in cfg.epsilon]
-    rows = _map(job, points)
     return SweepResult(experiment="fig2", rows=rows)
 
 
@@ -493,7 +479,6 @@ def run_fig3(
     with_k3: bool = False,
     snapshot_grid: PhaseGrid = SNAPSHOT_GRID,
     snapshots: bool = True,
-    **_ignored,
 ) -> SweepResult:
     """Sensitivities vs Kt per loss rate, plus echo-protocol Wigner snapshots.
 
@@ -503,22 +488,15 @@ def run_fig3(
     sweep's own row at that point when the sweep has one; otherwise it is
     the point's row without the echo, converged at that point.
     """
-    delta = cfg.delta[0]
-    epsilon = cfg.epsilon[0]
-    kerr = cfg.kerr[0]
-    sigma2 = cfg.sigma2[0]
-    flags = {"with_k3": with_k3}
-    rows: list[SweepRow] = []
-    for gamma in cfg.gamma:
-        rows.extend(_group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim, **flags))
+    rows = [row for group in _sweep(cfg, dim, with_k3=with_k3) for row in group]
     _check_lossless_ordering(rows)
     if not snapshots:
         return SweepResult(experiment="fig3", rows=rows)
-    gamma = SNAPSHOT_GAMMA * kerr
-    swept = (r for r in rows if r.gamma == gamma and math.isclose(r.kt, SNAPSHOT_KT))
+    point = (cfg.delta[0], cfg.epsilon[0], cfg.kerr[0], SNAPSHOT_GAMMA * cfg.kerr[0])
+    swept = (r for r in rows if r.gamma == point[3] and math.isclose(r.kt, SNAPSHOT_KT))
     row = next(swept, None)
     if row is None:
-        row = evaluate_point(delta, epsilon, kerr, gamma, SNAPSHOT_KT, dim=dim, with_mai=False)
+        row = evaluate_point(*point, SNAPSHOT_KT, dim=dim, with_mai=False)
     return SweepResult(
         experiment="fig3", rows=rows, snapshots=_fig3_snapshots(row, snapshot_grid)
     )
@@ -548,7 +526,7 @@ def _fit_slope(n_mean: np.ndarray, f_q: np.ndarray, window: float) -> float:
     return float(np.sum(n_w * (f_w - 4.0)) / np.sum(n_w * n_w))
 
 
-def run_scaling(cfg: ExperimentConfig, dim: int | None = None, **_ignored) -> SweepResult:
+def run_scaling(cfg: ExperimentConfig, dim: int | None = None) -> SweepResult:
     """F_Q(N) series per epsilon with the slope of F_Q = a N + 4.
 
     The series is truncated at the first F_Q maximum; the slope is fitted on
@@ -622,7 +600,7 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> float | None:
     return float(vertex)
 
 
-def run_loss_robustness(cfg: ExperimentConfig, dim: int | None = None, **_ignored) -> SweepResult:
+def run_loss_robustness(cfg: ExperimentConfig, dim: int | None = None) -> SweepResult:
     """Per-gamma maxima over Kt of chi^-2, chi^-2_MAI, and F_Q.
 
     Each quantity is maximised on the kt grid and refined once through the
@@ -631,47 +609,33 @@ def run_loss_robustness(cfg: ExperimentConfig, dim: int | None = None, **_ignore
     v_min/N entries refer to the echo optimum; chi2inv_1 and f_q columns
     carry their own maxima.
     """
-    delta = cfg.delta[0]
-    epsilon = cfg.epsilon[0]
-    kerr = cfg.kerr[0]
-    sigma2 = cfg.sigma2[0]
     kt_grid = np.array(cfg.kt)
     figures = ("chi2inv_1", "f_q", "chi2inv_mai")
     rows: list[SweepRow] = []
-    for gamma in cfg.gamma:
-        grid_rows = _group_rows(delta, epsilon, kerr, gamma, cfg.kt, [sigma2], dim)
-        group_dim = grid_rows[0].dim
-        best: dict[str, tuple[float, SweepRow]] = {}  # figure -> (kt, row)
+    for grid_rows in _sweep(cfg, dim):
+        g = grid_rows[0]
+        best: dict[str, SweepRow] = {}  # figure -> the row of its maximum
         vertices: dict[str, float] = {}
         for name in figures:
             values = np.array([getattr(r, name) for r in grid_rows], dtype=float)
             i = int(np.nanargmax(values))
-            best[name] = (float(kt_grid[i]), grid_rows[i])
+            best[name] = grid_rows[i]
             vertex = _parabolic_vertex(kt_grid, values, i) if 0 < i < len(values) - 1 else None
             if vertex is not None:
                 vertices[name] = vertex
         if vertices:
             kts = sorted(set(vertices.values()))
-            passed = _group_dim(delta, epsilon, kerr, gamma, kts, [sigma2], group_dim)
+            passed = _group_dim(g.delta, g.epsilon, g.kerr, g.gamma, kts, [g.sigma2], g.dim)
             at_vertex = dict(zip(kts, passed))
             for name, vertex in vertices.items():
-                if getattr(at_vertex[vertex], name) > getattr(best[name][1], name):
-                    best[name] = (vertex, at_vertex[vertex])
-        mai_kt, mai_row = best["chi2inv_mai"]
+                if getattr(at_vertex[vertex], name) > getattr(best[name], name):
+                    best[name] = at_vertex[vertex]
         rows.append(
-            SweepRow(
-                delta=delta,
-                epsilon=epsilon,
-                kerr=kerr,
-                gamma=gamma,
-                kt=mai_kt,
-                dim=group_dim,
-                n_mean=mai_row.n_mean,
-                v_min=mai_row.v_min,
-                chi2inv_1=best["chi2inv_1"][1].chi2inv_1,
-                f_q=best["f_q"][1].f_q,
-                chi2inv_mai=mai_row.chi2inv_mai,
-                sigma2=sigma2,
+            dataclasses.replace(
+                best["chi2inv_mai"],
+                chi2inv_1=best["chi2inv_1"].chi2inv_1,
+                f_q=best["f_q"].f_q,
+                state=None,
             )
         )
     return SweepResult(experiment="loss-robustness", rows=rows)
@@ -681,26 +645,16 @@ def run_custom(
     cfg: ExperimentConfig,
     dim: int | None = None,
     with_k3: bool = False,
-    **_ignored,
 ) -> SweepResult:
     """Full cross product of the config axes; sigma2 varies fastest."""
-    flags = {"with_k2": True, "with_k3": with_k3}
-    rows: list[SweepRow] = []
-    for delta in cfg.delta:
-        for epsilon in cfg.epsilon:
-            for kerr in cfg.kerr:
-                for gamma in cfg.gamma:
-                    rows.extend(
-                        _group_rows(delta, epsilon, kerr, gamma, cfg.kt, cfg.sigma2, dim, **flags)
-                    )
-    return SweepResult(experiment="custom", rows=rows)
+    groups = _sweep(cfg, dim, with_k2=True, with_k3=with_k3)
+    return SweepResult(experiment="custom", rows=[row for group in groups for row in group])
 
 
 def run_wigner(
     cfg: ExperimentConfig,
     dim: int | None = None,
     grid: PhaseGrid = DEFAULT_GRID,
-    **_ignored,
 ) -> SweepResult:
     """Wigner snapshot of one prepared state with its optimal angles."""
     point = (cfg.delta[0], cfg.epsilon[0], cfg.kerr[0], cfg.gamma[0], cfg.kt[0])
@@ -718,6 +672,7 @@ _RUNNERS = {
     "custom": run_custom,
     "wigner": run_wigner,
 }
+WITH_K3_EXPERIMENTS = ("fig2", "fig3", "custom")  # the runners that take with_k3
 
 
 def run_experiment(
@@ -725,8 +680,16 @@ def run_experiment(
     dim: int | None = None,
     with_k3: bool = False,
 ) -> SweepResult:
-    runner = _RUNNERS[cfg.experiment]
-    return runner(cfg, dim=dim, with_k3=with_k3)
+    """Run the config's experiment; with_k3 is a ConfigError for an experiment
+    outside WITH_K3_EXPERIMENTS, which has no chi2inv_3 column to fill."""
+    if not with_k3:
+        return _RUNNERS[cfg.experiment](cfg, dim=dim)
+    if cfg.experiment not in WITH_K3_EXPERIMENTS:
+        raise ConfigError(
+            f"experiment '{cfg.experiment}' does not compute chi2inv_3; "
+            f"--with-k3 applies to {', '.join(WITH_K3_EXPERIMENTS)}"
+        )
+    return _RUNNERS[cfg.experiment](cfg, dim=dim, with_k3=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kerrsense import dynamics, fock, harness, metrology
-from kerrsense.cli import _parse_dim, main
+from kerrsense.cli import _parse_dim, build_parser, main
 from kerrsense.config import ConfigError, ExperimentConfig, default_config
 from kerrsense.dynamics import (
     HamiltonianParams,
@@ -442,6 +442,30 @@ def test_run_fig2_reduced_grid():
     assert rows_to_csv(again.rows) == rows_to_csv(res.rows)
 
 
+def test_run_fig2_is_the_one_point_sweep_of_custom(monkeypatch):
+    # fig2 and custom share one sweep: on the same axes fig2's rows are
+    # custom's without chi2inv_2, each from one evaluate_point call per point
+    axes = ((0.0, 1.0), (0.5, 2.0), (1.0,), (0.0,), (0.5,), (0.0,))
+    calls = []
+    point = harness.evaluate_point
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return point(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_point", counting)
+    fig2 = run_fig2(ExperimentConfig("fig2", *axes), dim=32, with_k3=True)
+    grid = [(d, eps) for d in axes[0] for eps in axes[1]]
+    assert calls == grid
+    calls.clear()
+    custom = run_custom(ExperimentConfig("custom", *axes), dim=32, with_k3=True)
+    assert calls == grid
+    for row in custom.rows:
+        assert row.chi2inv_2 is not None and row.chi2inv_3 is not None
+        row.chi2inv_2 = None
+    assert rows_to_csv(fig2.rows) == rows_to_csv(custom.rows)
+
+
 def test_run_fig1_traces_and_optima():
     cfg = ExperimentConfig(
         "fig1", (0.0,), (0.0, 2.0, 4.0), (0.0, 1.0), (0.0,), (0.0, 0.1, 0.25), (0.0,)
@@ -467,6 +491,17 @@ def test_run_fig1_traces_and_optima():
         assert row.f_q is None and row.chi2inv_mai is None
     assert by_eps[2.0].chi2inv_1 > 4.0
     assert by_eps[4.0].chi2inv_1 > by_eps[2.0].chi2inv_1  # stronger drive wins
+
+
+def test_run_fig1_traces_every_delta():
+    # the traces sweep delta x kerr x kt with delta slowest; each delta's
+    # rows are those of a run at that delta alone
+    kt = (0.0, 0.2, 0.4)
+    both = run_fig1(ExperimentConfig("fig1", (0.0, 1.0), (2.0,), (1.0,), (0.0,), kt, (0.0,)))
+    zero = run_fig1(ExperimentConfig("fig1", (0.0,), (2.0,), (1.0,), (0.0,), kt, (0.0,)))
+    assert [(r.delta, r.kt) for r in both.rows] == [(d, k) for d in (0.0, 1.0) for k in kt]
+    assert rows_to_csv(both.rows[: len(kt)]) == rows_to_csv(zero.rows)
+    assert both.rows[-1].v_min != zero.rows[-1].v_min  # delta = 1 is evolved, not copied
 
 
 def test_run_fig3_lossless_rows_ordered():
@@ -1032,6 +1067,32 @@ def test_cli_config_values_the_experiment_would_drop_are_exit_2(
     assert main([name, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fig1", "scaling", "loss-robustness", "wigner"])
+def test_with_k3_is_refused_where_there_is_no_chi2inv_3(tmp_path, monkeypatch, capsys, name):
+    def runner(*args, **kwargs):
+        raise AssertionError("the experiment ran with a flag it would ignore")
+
+    monkeypatch.setattr(harness, "run_experiment", runner)
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--with-k3", "--out", str(tmp_path / "run.csv")])
+    assert exc.value.code == 2
+    assert "--with-k3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError, match="does not compute chi2inv_3"):
+        run_experiment(default_config(name), with_k3=True)
+
+
+def test_with_k3_reaches_the_runners_that_take_it(monkeypatch):
+    seen = {}
+    runner = lambda cfg, dim, with_k3: seen.setdefault(cfg.experiment, with_k3)  # noqa: E731
+    for name in ("fig2", "fig3", "custom"):
+        assert build_parser().parse_args([name, "--with-k3"]).with_k3 is True
+        monkeypatch.setitem(harness._RUNNERS, name, runner)
+        cfg = ExperimentConfig(name, (0.0,), (0.0,), (1.0,), (0.0,), (0.5,), (0.0,))
+        run_experiment(cfg, with_k3=True)
+    assert seen == {"fig2": True, "fig3": True, "custom": True}
 
 
 def test_cli_missing_output_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
