@@ -5,7 +5,8 @@ location/format, and Fock dimension policy; -v prints the package's DEBUG
 log lines to stderr.  --threads is accepted (>= 1) but has no effect: every
 experiment, and every BLAS call in it, runs in the calling thread, since
 importing the package pins OpenBLAS to one thread.  --with-k3 exists only on
-the experiments with a chi2inv_3 column (fig2, fig3, custom).  Exit codes:
+the experiments with a chi2inv_3 column (fig2, fig3, custom), and wigner
+writes JSON only (--format json, its default).  Exit codes:
 0 success, 1 computation error, 2 configuration error.
 """
 
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="output path (default: 'output' config key, else <experiment>.<format>)",
         )
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        formats = ("json",) if name == "wigner" else ("csv", "json")
+        sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument(
             "--dim", default="auto", help="Fock dimension: positive integer or 'auto'"
         )
@@ -113,8 +115,6 @@ def main(argv=None) -> int:
             out = args.out
         elif cfg.output is not None:
             out = Path(cfg.output)
-        elif args.experiment == "wigner":
-            out = Path("wigner.json")
         else:
             out = Path(f"{args.experiment}.{args.format}")
         if not out.parent.is_dir():  # before the computation, not after it

@@ -100,6 +100,10 @@ class ExperimentConfig:
                     f"experiment '{self.experiment}' reads one '{key}' value, "
                     f"got {len(getattr(self, key))}"
                 )
+        # a config file holds output as one stripped line cut at '#'
+        out = self.output
+        if out is not None and ("#" in out or out != out.strip() or len(out.splitlines()) != 1):
+            raise ConfigError(f"output {out!r} must be one line, without '#' or edge whitespace")
         # scaling and loss-robustness read neighbouring kt entries as neighbouring times
         increasing = list(self.kt) == sorted(set(self.kt))
         if self.experiment in ("scaling", "loss-robustness") and not increasing:

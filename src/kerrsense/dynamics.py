@@ -177,11 +177,7 @@ def evolve_unitary(state: QuantumState, p: HamiltonianParams, t: float) -> Quant
     w = propagate(state.factor(), p, t)
     if state.is_pure:
         return _checked([QuantumState.from_ket(w)])[0]
-    rho = w @ w.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    for arr in (rho, w):
-        arr.setflags(write=False)
-    return _checked([QuantumState(rho, "mixed", state.dim, w)])[0]
+    return _checked([QuantumState(w, "mixed")])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +397,8 @@ def vacuum_states(
     Lindblad pass.  No truncation check: evolve_vacuum is the checked form."""
     if loss.gamma > 0.0:
         return _lindblad_states(QuantumState.vacuum(dim), p, loss, times)
-    kets = fock_kets(p, times, dim).T.copy()  # fock_kets has checked them once
-    kets.setflags(write=False)
-    return [QuantumState(ket, "pure", dim) for ket in kets]
+    kets = fock_kets(p, times, dim)  # fock_kets has checked them once
+    return [QuantumState(kets[:, [j]], "pure") for j in range(kets.shape[1])]
 
 
 def evolve_vacuum(

@@ -8,11 +8,11 @@ and its transpose.  Quadrature convention: X = (a + a^dag)/sqrt(2) and
 P = -i(a - a^dag)/sqrt(2), so [X, P] = i away from the truncation edge and
 the vacuum has Var[X] = 1/2.
 
-A state enters every expectation through QuantumState.factor, W with
-rho = W W^dag (a ket is one column), one path for pure and mixed states; only
-ladder_moments keeps banded sums on the ket and on the diagonals of rho.
-from_density_matrix makes a mixed state's factor once, from the eigh that
-validates it, so a density matrix is decomposed once in its life.
+A state is its factor W, rho = W W^dag (a ket is one column): every
+expectation, moment and accessor reads W, one path for pure and mixed states.
+from_density_matrix makes a mixed state's W from the eigh that validates it,
+the one dim x dim eigh of a state's life; rho itself is formed only where a
+superoperator or the Wigner transform needs it (density_matrix).
 
 Truncation: constructors only validate.  check_tail judges a result's tail
 (the population of its top TAIL_FRACTION of levels), and at_dim, the entry
@@ -157,29 +157,28 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 
 class QuantumState:
-    """Pure ket or mixed density matrix on a truncated Fock space.
+    """Pure or mixed state on a truncated Fock space, held as its factor W
+    alone: rho = W W^dag, with W's columns orthogonal (a ket is one column).
 
     Constructors validate normalisation (pure: unit norm within 1e-9; mixed:
     unit trace within 1e-9, Hermitian within 1e-12, eigenvalues >= -1e-9);
     they do not judge truncation (see check_tail).
     """
 
-    __slots__ = ("data", "dim", "kind", "_factor")
+    __slots__ = ("_factor", "dim", "kind")
 
-    def __init__(self, data: np.ndarray, kind: str, dim: int, factor: np.ndarray | None = None):
-        # internal; use the from_* constructors (a mixed state needs its factor)
-        self.data = data
-        self.kind = kind
-        self.dim = dim
+    def __init__(self, factor: np.ndarray, kind: str):
+        # internal (use the from_* constructors): W, orthogonal columns, made read-only
+        factor.setflags(write=False)
         self._factor = factor
+        self.dim = factor.shape[0]
+        self.kind = kind
 
     @classmethod
     def from_ket(cls, vec) -> "QuantumState":
         v = np.array(vec, dtype=complex).reshape(-1)
         check_dim(v.shape[0])
-        v = normalized_kets(v[:, None])[:, 0]
-        v.setflags(write=False)
-        return cls(v, "pure", v.shape[0])
+        return cls(normalized_kets(v[:, None]), "pure")
 
     @classmethod
     def from_density_matrix(cls, mat) -> "QuantumState":
@@ -199,10 +198,7 @@ class QuantumState:
         # are all kept
         diagonal = np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
         keep = lam > (0.0 if diagonal else lam[-1] * m.shape[0] * np.finfo(float).eps)
-        w = vecs[:, keep] * np.sqrt(lam[keep])
-        for arr in (m, w):
-            arr.setflags(write=False)
-        return cls(m, "mixed", m.shape[0], w)
+        return cls(vecs[:, keep] * np.sqrt(lam[keep]), "mixed")
 
     @classmethod
     def vacuum(cls, dim: int) -> "QuantumState":
@@ -257,32 +253,28 @@ class QuantumState:
     def ket(self) -> np.ndarray:
         if not self.is_pure:
             raise ValueError("mixed state has no ket")
-        return self.data
+        return self._factor[:, 0]
 
     def density_matrix(self) -> np.ndarray:
-        if self.is_pure:
-            return np.outer(self.data, self.data.conj())
-        return self.data
+        """rho = W W^dag, symmetrised so that it is exactly Hermitian."""
+        rho = self._factor @ self._factor.conj().T
+        return (rho + rho.conj().T) / 2.0
 
     def populations(self) -> np.ndarray:
-        if self.is_pure:
-            return np.abs(self.data) ** 2
-        return np.diag(self.data).real.copy()
+        return np.sum(np.abs(self._factor) ** 2, axis=1)
 
     def tail_population(self) -> float:
         return float(tail_populations(self.populations()))
 
     def factor(self) -> np.ndarray:
         """W with rho = W W^dag, read-only: the ket as one column, or the
-        V sqrt(lambda) that from_density_matrix made once."""
-        if self.is_pure:
-            return self.data[:, None]
+        V sqrt(lambda) that from_density_matrix made."""
         return self._factor
 
     def purity(self) -> float:
-        if self.is_pure:
-            return 1.0
-        return float(np.sum(np.abs(self.data) ** 2))
+        """Tr rho^2 / (Tr rho)^2 from the weights |w_k|^2 of W's columns; 1.0 for a ket."""
+        lam = np.sum(np.abs(self._factor) ** 2, axis=0)
+        return float(np.sum(lam**2) / np.sum(lam) ** 2)
 
     def __repr__(self) -> str:
         return f"QuantumState(kind={self.kind!r}, dim={self.dim})"
@@ -436,16 +428,9 @@ def ket_ladder_moments(psi: np.ndarray):
 
 
 def ladder_moments(state: QuantumState) -> tuple[complex, complex, float]:
-    """Return (<a>, <a^2>, <a^dag a>) using the band structure of a."""
-    if state.is_pure:
-        ma, ma2, mn = ket_ladder_moments(state.data)
-        return complex(ma), complex(ma2), float(mn)
-    rho = state.data
-    n = np.arange(state.dim, dtype=float)
-    ma = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(rho, offset=-1)))
-    ma2 = complex(np.sum(np.sqrt(n[2:] * (n[2:] - 1.0)) * np.diagonal(rho, offset=-2)))
-    mn = float(np.sum(n * np.diagonal(rho).real))
-    return ma, ma2, mn
+    """Return (<a>, <a^2>, <a^dag a>): the factor's columns' ket_ladder_moments, summed."""
+    ma, ma2, mn = (m.sum() for m in ket_ladder_moments(state.factor()))
+    return complex(ma), complex(ma2), float(mn)
 
 
 def covariance_from_moments(ma, ma2, mn) -> np.ndarray:

@@ -460,9 +460,7 @@ def _fig3_snapshots(row: SweepRow, grid: PhaseGrid) -> list[WignerSnapshot]:
     report = metrology.linear_sensitivity(prepared)
     alpha = -1j * SNAPSHOT_DISPLACEMENT * cmath.exp(1j * report.phi_opt) / math.sqrt(2.0)
     d_op = fock.displacement(prepared.dim, alpha).matrix
-    displaced = QuantumState.from_density_matrix(
-        d_op @ prepared.density_matrix() @ d_op.conj().T
-    )
+    displaced = QuantumState(d_op @ prepared.factor(), prepared.kind)
     fock.check_tail(displaced.tail_population())
     p = HamiltonianParams(delta=row.delta, epsilon=row.epsilon, kerr=row.kerr)
     t = _time_of(row.kerr, row.kt)
@@ -787,25 +785,28 @@ def emit(result: SweepResult, out_path: str | Path, fmt: str = "csv") -> list[Pa
     """Write the result files; returns the paths written.
 
     CSV keeps the pinned column schema; the optima table and scaling fits go
-    to sidecar files.  JSON mirrors the schema in one file.  Wigner snapshots
-    are always one JSON file each, streamed row by row of W (the bytes of one
-    json.dumps), so memory does not grow with the grid.  Each file written
-    logs one DEBUG line: path, size and seconds.
+    to sidecar files.  JSON mirrors the schema in one file, and is a wigner
+    result's only format.  Wigner snapshots are one JSON file each, streamed
+    row by row of W (the bytes of one json.dumps), so memory does not grow
+    with the grid.  Each file written logs one DEBUG line: path, size and
+    seconds.
     """
     out = Path(out_path)
     written: list[Path] = []
-    if result.experiment != "wigner":
-        if fmt == "csv":
-            _write(out, [rows_to_csv(result.rows)], written)
-            if result.optima is not None:
-                _write(_sidecar(out, "optima"), [rows_to_csv(result.optima)], written)
-            if result.fits is not None:
-                fits = json.dumps([_fit_to_dict(f) for f in result.fits], indent=1)
-                _write(_sidecar(out, "fits"), [fits + "\n"], written)
-        elif fmt == "json":
-            _write(out, [json.dumps(result_to_dict(result), indent=1) + "\n"], written)
-        else:
-            raise ValueError(f"unknown output format {fmt!r}")
+    if result.experiment == "wigner":
+        if fmt != "json":
+            raise ValueError(f"a wigner result is written as JSON only, not {fmt!r}")
+    elif fmt == "csv":
+        _write(out, [rows_to_csv(result.rows)], written)
+        if result.optima is not None:
+            _write(_sidecar(out, "optima"), [rows_to_csv(result.optima)], written)
+        if result.fits is not None:
+            fits = json.dumps([_fit_to_dict(f) for f in result.fits], indent=1)
+            _write(_sidecar(out, "fits"), [fits + "\n"], written)
+    elif fmt == "json":
+        _write(out, [json.dumps(result_to_dict(result), indent=1) + "\n"], written)
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
     for snap in result.snapshots or []:
         path = out if result.experiment == "wigner" else _sidecar(out, f"wigner_{snap.name}")
         _write(path, _snapshot_chunks(snap), written)

@@ -1,5 +1,7 @@
 """Experiment config parsing, defaults, validation, and round-tripping."""
 
+from dataclasses import replace
+
 import pytest
 
 from kerrsense.config import (
@@ -173,6 +175,19 @@ def test_serialize_round_trip():
         "kt = 0:0.6:7\nsigma2 = 0,0.5\noutput = out.csv\n", experiment="custom"
     )
     assert parse_config(serialize_config(custom)) == custom
+    for output in ("run 1.csv", "a=b.csv", "dir/run.csv", "\u00fc.csv"):
+        cfg = replace(default_config("fig2"), output=output)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "output", ["run#1.csv", " run.csv", "run.csv\t", "a\nb.csv", "a\rb.csv", "a\u2028b.csv", ""]
+)
+def test_output_a_config_file_cannot_hold_is_rejected(output):
+    # '#' starts a comment and values are stripped line by line, so these
+    # would not parse back to themselves
+    with pytest.raises(ConfigError, match="output"):
+        replace(default_config("fig2"), output=output)
 
 
 # per experiment: the axes it never reads, and those it reads one value of

@@ -176,13 +176,25 @@ def test_mixed_unitary_evolution_keeps_the_factor(monkeypatch):
     np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-12)
 
 
+def test_lindblad_state_density_matrix_matches_the_evolved_vector():
+    # the state keeps only its factor; W W^dag gives back the evolved rho,
+    # exactly Hermitian
+    dim, p = 32, HamiltonianParams(delta=0.2, epsilon=1.5, kerr=1.0)
+    rho0 = QuantumState.vacuum(dim).density_matrix().reshape(-1)
+    (vec,) = dynamics.lindblad_trajectory(rho0, p, LossParams(0.3), [0.5])
+    rho = vec.reshape(dim, dim)
+    got = evolve_lindblad(QuantumState.vacuum(dim), p, LossParams(0.3), 0.5).density_matrix()
+    assert np.array_equal(got, got.conj().T)
+    np.testing.assert_allclose(got, rho, rtol=0, atol=1e-13)
+
+
 def test_sector_propagation_of_thermal_density_matrix():
     t = 0.3
     rho = QuantumState.thermal(SECTOR_DIM, 1.5).density_matrix()
     u = _dense_propagator(SECTOR_DIM, SECTOR_PARAMS, t)
     evolved = evolve_unitary(QuantumState.thermal(SECTOR_DIM, 1.5), SECTOR_PARAMS, t)
     assert not evolved.is_pure
-    np.testing.assert_allclose(evolved.data, u @ rho @ u.conj().T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(evolved.density_matrix(), u @ rho @ u.conj().T, rtol=0, atol=1e-12)
 
 
 def test_vacuum_evolution_never_solves_the_odd_sector():
@@ -653,7 +665,7 @@ def test_evolve_vacuum_lossless_matches_evolve_unitary():
     for t, state in zip(EVOLVE_VACUUM_TIMES, states):
         ref = evolve_unitary(QuantumState.vacuum(dim), p, t)
         assert state.is_pure
-        np.testing.assert_allclose(state.data, ref.data, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(state.ket, ref.ket, rtol=0, atol=1e-13)
 
 
 def test_evolve_vacuum_lossy_matches_evolve_lindblad():
@@ -727,7 +739,7 @@ def test_squeezing_trace_matches_pointwise_evolution():
 def test_squeezing_trace_auto_dim_converges():
     p = HamiltonianParams(epsilon=2.0, kerr=1.0)
     trace = squeezing_trace(p, np.linspace(0.0, 0.3, 4))
-    assert trace.dim == 48
+    assert trace.dim == next_dim(dynamics.initial_dim(p, 0.3))
     ref = squeezing_trace(p, np.linspace(0.0, 0.3, 4), dim=2 * trace.dim)
     np.testing.assert_allclose(trace.v_min, ref.v_min, rtol=1e-7)
 
@@ -739,14 +751,16 @@ def test_squeezing_trace_logs_the_dimension_ladder(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "kerrsense.fock"]
     # initial_dim starts at the support (rung 32), and the rung above, 48,
     # confirms it; each comparison reports the lower rung's tail and guard
-    assert messages[0] == "converge_dim: tried dim 32"
+    start = dynamics.initial_dim(p, 0.3)
+    accepted = next_dim(start)
+    assert messages[0] == f"converge_dim: tried dim {start}"
     assert re.fullmatch(
-        r"converge_dim: tried dim 48, max relative change \S+, "
-        r"tail at dim 32 \S+ \(guard 1e-12 held\)",
+        rf"converge_dim: tried dim {accepted}, max relative change \S+, "
+        rf"tail at dim {start} \S+ \(guard 1e-12 held\)",
         messages[1],
     )
-    assert messages[2:] == ["converge_dim: accepted dim 48 (rel_tol 1.0e-07)"]
-    assert trace.dim == 48
+    assert messages[2:] == [f"converge_dim: accepted dim {accepted} (rel_tol 1.0e-07)"]
+    assert trace.dim == accepted
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
 

@@ -51,7 +51,7 @@ def random_ket(dim: int, seed: int) -> QuantumState:
     return QuantumState.from_ket(v / np.linalg.norm(v))
 
 
-def random_mixed(dim: int, seed: int, rank: int = 4) -> QuantumState:
+def random_density_matrix(dim: int, seed: int, rank: int = 4) -> np.ndarray:
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.1, 1.0, size=rank)
     w /= w.sum()
@@ -61,7 +61,11 @@ def random_mixed(dim: int, seed: int, rank: int = 4) -> QuantumState:
         v *= np.exp(-((np.arange(dim) / (dim / 4.0)) ** 2))
         v /= np.linalg.norm(v)
         rho += w[k] * np.outer(v, v.conj())
-    return QuantumState.from_density_matrix(rho)
+    return rho
+
+
+def random_mixed(dim: int, seed: int, rank: int = 4) -> QuantumState:
+    return QuantumState.from_density_matrix(random_density_matrix(dim, seed, rank))
 
 
 def factorials(dim: int) -> np.ndarray:
@@ -295,13 +299,17 @@ def test_mixed_state_accessors():
     assert not s.is_pure
     with pytest.raises(ValueError):
         _ = s.ket
-    np.testing.assert_array_equal(s.density_matrix(), s.data)
+    np.testing.assert_allclose(s.density_matrix(), np.diag(s.populations()), rtol=0, atol=1e-17)
     # the factor W has one column per eigenvalue above round-off, the four
-    # kets of the mixture here, and W W^dag = rho
-    mixed = random_mixed(20, seed=9)
-    w = mixed.factor()
+    # kets of the mixture here; W is all the state holds, and W W^dag comes
+    # back exactly Hermitian and within round-off of the input rho
+    rho = random_density_matrix(20, seed=9)
+    mixed = QuantumState.from_density_matrix(rho)
+    w, got = mixed.factor(), mixed.density_matrix()
     assert w.shape == (20, 4)
-    np.testing.assert_allclose(w @ w.conj().T, mixed.data, rtol=0, atol=1e-14)
+    assert np.array_equal(got, got.conj().T)
+    np.testing.assert_allclose(got, w @ w.conj().T, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got, rho, rtol=0, atol=1e-13)
 
 
 def test_pure_state_accessors():
@@ -337,7 +345,7 @@ def test_ket_and_its_density_matrix_agree_through_the_factor():
     evolved_mixed = evolve_unitary(mixed, params, 0.1)
     assert evolved_pure.is_pure and not evolved_mixed.is_pure
     np.testing.assert_allclose(
-        evolved_pure.density_matrix(), evolved_mixed.data, rtol=0, atol=1e-13
+        evolved_pure.density_matrix(), evolved_mixed.density_matrix(), rtol=0, atol=1e-13
     )
 
 
@@ -366,8 +374,9 @@ def test_variance_and_covariance_reject_non_hermitian_operators():
 
 
 def test_ladder_moments_match_dense():
-    for state in (random_ket(24, seed=3), random_mixed(24, seed=4)):
-        a = annihilation(24).matrix
+    a_op = annihilation(24)
+    a = a_op.matrix
+    for state in (random_ket(24, seed=3), random_mixed(24, seed=4), QuantumState.thermal(24, 0.7)):
         rho = state.density_matrix()
         ma = np.trace(rho @ a)
         maa = np.trace(rho @ a @ a)
@@ -376,6 +385,9 @@ def test_ladder_moments_match_dense():
         assert abs(got_a - ma) < 1e-12
         assert abs(got_aa - maa) < 1e-12
         assert abs(got_n - n_mean) < 1e-12
+        # the banded sums over W's columns against Tr[W^dag A W]
+        want = [expectation(state, op) for op in (a_op, a_op @ a_op, number_operator(24))]
+        np.testing.assert_allclose((got_a, got_aa, got_n), want, rtol=0, atol=1e-13)
 
 
 def test_ket_block_moments_match_per_ket():
@@ -417,7 +429,7 @@ def test_quadrature_covariance_matrix_entries():
 def test_state_fidelity_pure_pure():
     a = random_ket(15, seed=1)
     b = random_ket(15, seed=2)
-    expected = abs(np.vdot(a.data, b.data)) ** 2
+    expected = abs(np.vdot(a.ket, b.ket)) ** 2
     assert abs(state_fidelity(a, b) - expected) < 1e-12
     assert abs(state_fidelity(a, a) - 1.0) < 1e-12
 
@@ -451,13 +463,13 @@ def _sqrtm_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def test_state_fidelity_matches_sqrtm():
     dim = 40
     cold, warm = QuantumState.thermal(dim, 0.5), QuantumState.thermal(dim, 1.2)
-    expected = _sqrtm_fidelity(cold.data, warm.data)
+    expected = _sqrtm_fidelity(cold.density_matrix(), warm.density_matrix())
     assert abs(state_fidelity(cold, warm) - expected) < 1e-12
     assert abs(state_fidelity(warm, cold) - expected) < 1e-12
     # a rank-1 density matrix holds as its ket does
     ket = random_ket(dim, seed=3)
     rank1 = QuantumState.from_density_matrix(ket.density_matrix())
-    exact = float(np.vdot(ket.ket, warm.data @ ket.ket).real)
+    exact = float(np.vdot(ket.ket, warm.density_matrix() @ ket.ket).real)
     assert abs(state_fidelity(ket, warm) - exact) < 1e-12
     assert abs(state_fidelity(rank1, warm) - exact) < 1e-12
 
@@ -474,8 +486,8 @@ def test_state_fidelity_dim_mismatch():
 def test_apply_helpers_match_matrix_products():
     # a ket, and blocks of kets as columns: at 21 = dim - 1 columns, level
     # factors broadcast along the wrong axis would go through without an error
-    ket = random_ket(22, seed=9).data
-    blocks = [np.stack([random_ket(22, seed=10 + j).data for j in range(k)], axis=1)
+    ket = random_ket(22, seed=9).ket
+    blocks = [np.stack([random_ket(22, seed=10 + j).ket for j in range(k)], axis=1)
               for k in (3, 21)]
     for psi in [ket] + blocks:
         for theta in (0.0, 1.1):
@@ -490,55 +502,79 @@ def test_apply_helpers_match_matrix_products():
 # dimension ladder
 
 
-def test_dim_ladder_rungs_grow_by_a_quarter_in_steps_of_16():
-    rungs = [fock.DIM_STEP]
-    while rungs[-1] < 5120:
+def ladder_from(dim: int, count: int) -> list[int]:
+    """dim and the count - 1 rungs above it (fock.next_dim)."""
+    rungs = [dim]
+    while len(rungs) < count:
         rungs.append(fock.next_dim(rungs[-1]))
-    assert rungs[:9] == [16, 32, 48, 64, 80, 112, 144, 192, 240]
+    return rungs
+
+
+def test_dim_ladder_rungs_grow_by_a_quarter_in_steps_of_16():
+    # the one pin of the ladder: every other test reads its rungs from
+    # next_dim and ladder_dim, so a ladder change fails here alone
+    assert (fock.DIM_STEP, fock.DIM_GROWTH) == (16, 1.25)
+    assert ladder_from(16, 9) == [16, 32, 48, 64, 80, 112, 144, 192, 240]
+
+
+def test_dim_ladder_rungs_are_step_multiples_above_the_growth():
+    step, growth = fock.DIM_STEP, fock.DIM_GROWTH
+    rungs = [r for r in ladder_from(step, 40) if r <= 5120]
     for lower, upper in zip(rungs, rungs[1:]):
-        # 1.25 x the rung below, rounded up to the next multiple of 16
-        assert upper % 16 == 0
-        assert 1.25 * lower <= upper < 1.25 * lower + 16
+        # DIM_GROWTH x the rung below, rounded up to the next multiple of DIM_STEP
+        assert upper % step == 0
+        assert growth * lower <= upper < growth * lower + step
     # ladder_dim rounds up to a rung
     assert [fock.ladder_dim(r) for r in rungs] == rungs
     assert [fock.ladder_dim(r + 1) for r in rungs[:-1]] == rungs[1:]
-    assert fock.ladder_dim(0.0) == 16
+    assert fock.ladder_dim(0.0) == step
 
 
 def test_converge_dim_tracks_coherent_occupation():
     alpha = 2.0
     built = []
 
-    def builder(dim: int) -> np.ndarray:
-        built.append(dim)
+    def coherent_pops(dim: int) -> np.ndarray:
         pops = np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * np.arange(dim))
         return pops / factorials(dim)
+
+    def builder(dim: int) -> np.ndarray:
+        built.append(dim)
+        return coherent_pops(dim)
 
     pops, dim = converge_dim(
         builder, lambda p: np.arange(p.size) @ p, fock.tail_populations, start_dim=8
     )
     assert abs(np.arange(dim) @ pops - abs(alpha) ** 2) < 1e-8
-    assert dim % 16 == 0 and dim > 8
-    # each rung is built once, and the accepted build is returned, not rebuilt
-    assert built == [8, 16, 32, 48] and built[-1] == dim
+    assert dim % fock.DIM_STEP == 0 and dim > 8
+    # the first rung whose tail holds the guard (from 8: 32) is confirmed by
+    # the rung above it; each rung is built once, and the accepted build is
+    # returned, not rebuilt
+    lower = 8
+    while fock.tail_populations(coherent_pops(lower)) >= fock.AUTO_DIM_TAIL:
+        lower = fock.next_dim(lower)
+    assert built == ladder_from(8, len(built)) and built[-2:] == [lower, dim]
 
 
 def test_converge_dim_tail_guard_rejects_agreeing_rungs(caplog):
-    # the figure is the same at every rung, but the rungs below 48 keep
-    # 1e-10 in their tails: two of them agreeing proves nothing
+    # the figure is the same at every rung, but the rungs below the third
+    # one from 16 (48) keep 1e-10 in their tails: two of them agreeing
+    # proves nothing
+    rungs = ladder_from(16, 4)
+
     def builder(dim: int) -> tuple[int, float]:
-        return dim, 1e-10 if dim < 48 else 0.0
+        return dim, 1e-10 if dim < rungs[2] else 0.0
 
     with caplog.at_level(logging.DEBUG, logger="kerrsense.fock"):
         _, dim = converge_dim(builder, lambda r: 1.0, lambda r: r[1], start_dim=16)
     messages = [r.getMessage() for r in caplog.records]
-    assert dim == 64
+    assert dim == rungs[3]
     assert messages[1] == (
-        "converge_dim: tried dim 32, max relative change 0.000e+00, "
-        "tail at dim 16 1.000e-10 (guard 1e-12 failed)"
+        f"converge_dim: tried dim {rungs[1]}, max relative change 0.000e+00, "
+        f"tail at dim {rungs[0]} 1.000e-10 (guard 1e-12 failed)"
     )
-    assert messages[3].endswith("tail at dim 48 0.000e+00 (guard 1e-12 held)")
-    assert messages[4] == "converge_dim: accepted dim 64 (rel_tol 1.0e-07)"
+    assert messages[3].endswith(f"tail at dim {rungs[2]} 0.000e+00 (guard 1e-12 held)")
+    assert messages[4] == f"converge_dim: accepted dim {rungs[3]} (rel_tol 1.0e-07)"
 
 
 def test_converge_dim_frees_each_rung_before_building_the_next():
@@ -558,8 +594,11 @@ def test_converge_dim_frees_each_rung_before_building_the_next():
         refs.append(weakref.ref(rung))
         return rung
 
-    rung, dim = converge_dim(builder, lambda r: min(r.dim, 32), lambda r: 0.0, start_dim=16)
-    assert (rung.dim, dim) == (48, 48)
+    # the figure stops changing at the rung above 16, so the one above that
+    # (48) is accepted
+    second = fock.next_dim(16)
+    rung, dim = converge_dim(builder, lambda r: min(r.dim, second), lambda r: 0.0, start_dim=16)
+    assert (rung.dim, dim) == (fock.next_dim(second),) * 2
     assert alive == [[], [], []]
 
 
@@ -569,7 +608,7 @@ def test_converge_dim_passes_nan_sentinels():
 
     figures, dim = converge_dim(builder, lambda f: f, lambda f: 0.0, start_dim=16)
     assert np.isnan(figures[0]) and figures[1] == 1.0
-    assert dim == 32
+    assert dim == fock.next_dim(16)
 
 
 def test_converge_dim_raises_without_convergence():

@@ -246,13 +246,24 @@ def test_lossy_point_matches_gaussian_oracle(point):
     _assert_matches_oracle(row, lossy_gaussian_figures(delta, epsilon, gamma, t, sigma2))
 
 
-def test_lossy_group_matches_gaussian_oracle():
+@pytest.fixture(scope="module")
+def lossy_group_rows():
     cfg = ExperimentConfig("custom", (0.3,), (0.4,), (0.0,), (0.5,), (0.2, 0.5, 0.8), (0.0, 0.5))
-    rows = run_custom(cfg, with_k3=True).rows
-    assert len(rows) == 6
-    for row in rows:
+    return run_custom(cfg, with_k3=True).rows
+
+
+def test_lossy_group_matches_gaussian_oracle(lossy_group_rows):
+    assert len(lossy_group_rows) == 6
+    for row in lossy_group_rows:
         oracle = lossy_gaussian_figures(row.delta, row.epsilon, row.gamma, row.kt, row.sigma2)
         _assert_matches_oracle(row, oracle)
+
+
+def test_lossy_group_keeps_the_gaussian_identity(lossy_group_rows):
+    # a Gaussian state has F_Q = 1 / v_min; both read the state's one factor
+    # W, so the identity holds to round-off at every row
+    for row in lossy_group_rows:
+        assert abs(row.f_q * row.v_min - 1.0) <= 2e-14, (row.kt, row.sigma2)
 
 
 def test_lossy_echo_with_its_own_reversal_time_matches_gaussian_oracle():

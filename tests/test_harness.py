@@ -221,7 +221,8 @@ def test_every_auto_dim_result_has_one_policy(monkeypatch, caplog, entry):
     assert len(accepted) == 1
     dim = int(accepted[0].split()[3])
     if entry == "fig1-k0-trace":
-        assert (start, dim) == (768, 960)
+        # the start (768) is at the support, so the rung above (960) confirms it
+        assert dim == fock.next_dim(start)
     np.testing.assert_allclose(auto, figures(2 * dim), rtol=AUTO_DIM_RTOL)
 
 
@@ -229,10 +230,20 @@ def test_auto_dim_rejected_dims_do_not_warn(monkeypatch):
     # from a start far below the support each climbs through dims whose tails
     # pass TAIL_THRESHOLD (1.6e-7 at dim 48 for the first); only the accepted
     # result is checked, so under the suite's error filter on
-    # TruncationWarning these return
+    # TruncationWarning these return.  Each accepts the rung above the first
+    # one whose state's tail holds the guard (144 and 960)
+    def accepted(epsilon: float, gamma: float, t: float) -> int:
+        p, dim = HamiltonianParams(0.0, epsilon, 0.0), 48
+        while (
+            dynamics.vacuum_states(dim, p, LossParams(gamma), [t])[0].tail_population()
+            >= fock.AUTO_DIM_TAIL
+        ):
+            dim = fock.next_dim(dim)
+        return fock.next_dim(dim)
+
     monkeypatch.setattr(dynamics, "initial_dim", lambda *args: 48)
-    assert evaluate_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == 144
-    assert evaluate_point(0.0, 2.0, 0.0, 0.0, 0.5).dim == 960
+    assert evaluate_point(0.0, 0.5, 0.0, 0.2, 1.0).dim == accepted(0.5, 0.2, 1.0)
+    assert evaluate_point(0.0, 2.0, 0.0, 0.0, 0.5).dim == accepted(2.0, 0.0, 0.5)
     assert mai_sensitivity(HamiltonianParams(0.0, 2.0, 0.0), 0.5).value > 0.0
 
 
@@ -833,6 +844,24 @@ def test_fig3_snapshots_read_the_swept_state(monkeypatch):
     np.testing.assert_array_equal(res.snapshots[0].w, wigner(res.rows[1].state, SNAPSHOT_GRID))
 
 
+def test_fig3_snapshots_decompose_only_the_reversed_state(monkeypatch):
+    # the displaced state's factor is D W, so the one dim x dim eigh of the
+    # snapshots is from_density_matrix's, of the reversed state
+    row = evaluate_point(0.0, 2.0, 1.0, 0.1, 0.4, dim=32, with_mai=False)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a) == (32, 32):
+            calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    snaps = harness._fig3_snapshots(row, SNAPSHOT_GRID)
+    assert [s.name for s in snaps] == list(FIG3_SNAPSHOTS)
+    assert len(calls) == 1
+
+
 def test_run_experiment_dispatches():
     cfg = ExperimentConfig("fig2", (0.0,), (0.0,), (1.0,), (0.0,), (0.5,), (0.0,))
     res = run_experiment(cfg, dim=32)
@@ -1082,6 +1111,23 @@ def test_with_k3_is_refused_where_there_is_no_chi2inv_3(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ConfigError, match="does not compute chi2inv_3"):
         run_experiment(default_config(name), with_k3=True)
+
+
+def test_wigner_writes_json_only(tmp_path, monkeypatch, capsys):
+    def runner(*args, **kwargs):
+        raise AssertionError("the experiment ran with a format it cannot write")
+
+    monkeypatch.setattr(harness, "run_experiment", runner)
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--format", "csv", "--out", str(tmp_path / "w.csv")])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert build_parser().parse_args(["wigner"]).format == "json"
+    result = SweepResult(experiment="wigner", rows=[], snapshots=_fabricated_result().snapshots)
+    with pytest.raises(ValueError, match="JSON only"):
+        emit(result, tmp_path / "w.csv", fmt="csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_with_k3_reaches_the_runners_that_take_it(monkeypatch):
